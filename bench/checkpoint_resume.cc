@@ -96,8 +96,8 @@ Artifacts run_once(std::size_t max_endpoints, int jobs,
   measure::ParallelScanOutcome out;
   {
     obs::RecorderScope scope(rec);
-    out = measure::parallel_scan_checkpointed(
-        national_config(), scan_config(max_endpoints), ckpt, jobs);
+    out = measure::parallel_scan(national_config(), scan_config(max_endpoints),
+                                 jobs, ckpt);
   }
   if (wall_out != nullptr) {
     *wall_out =
@@ -132,8 +132,8 @@ int bench_mode() {
   obs::Recorder dead_rec(trace_config());
   try {
     obs::RecorderScope scope(dead_rec);
-    measure::parallel_scan_checkpointed(national_config(),
-                                        scan_config(max_endpoints), kill, jobs);
+    measure::parallel_scan(national_config(), scan_config(max_endpoints), jobs,
+                           kill);
   } catch (const runner::CampaignInterrupted& e) {
     interrupted = true;
     std::fprintf(stderr, "checkpoint_resume: %s\n", e.what());
@@ -190,8 +190,8 @@ int driver_mode(const std::string& ckpt_path, bool do_resume,
   measure::ParallelScanOutcome out;
   try {
     obs::RecorderScope scope(rec);
-    out = measure::parallel_scan_checkpointed(national_config(),
-                                              scan_config(24), opts, jobs);
+    out = measure::parallel_scan(national_config(), scan_config(24), jobs,
+                                 opts);
   } catch (const runner::CampaignInterrupted& e) {
     std::fprintf(stderr, "checkpoint_resume: %s\n", e.what());
     return 3;

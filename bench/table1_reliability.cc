@@ -101,8 +101,7 @@ int main() {
 
   // Flat item space: ((isp * 5) + kind) * trials + trial.
   const std::size_t n_items = std::size_t(3) * 5 * std::max(trials, 0);
-  measure::ReliabilityConfig rc;
-  rc.trials = trials;
+  const measure::ReliabilityConfig rc;
   const std::vector<bool> unblocked = runner::shard_map(
       n_items, report.jobs(),
       [&cfg](int) { return std::make_unique<topo::Scenario>(cfg); },

@@ -1,5 +1,5 @@
 // Shard-state serialization shared by the checkpointed campaigns
-// (measure::parallel_scan_checkpointed, measure::sharded_reliability_trials).
+// (measure::parallel_scan, measure::sharded_reliability_trials).
 //
 // A shard's replica carries exactly the mutable state the trial-isolation
 // path (begin_trial/reseed) would otherwise reset: the virtual clock, every

@@ -6,6 +6,7 @@
 #include "measure/ckptcodec.h"
 #include "measure/common.h"
 #include "quic/quic.h"
+#include "runner/runner.h"
 
 namespace tspu::measure {
 
@@ -57,41 +58,6 @@ bool reliability_trial(topo::Scenario& scenario, topo::VantagePoint& vp,
     }
   }
   return false;
-}
-
-std::vector<ReliabilityResult> measure_reliability(
-    topo::Scenario& scenario, topo::VantagePoint& vp,
-    const ReliabilityConfig& config) {
-  auto& net = scenario.net();
-  netsim::Host& client = *vp.host;
-
-  // The vantage point answers the Tor node's SYNs for the IP-based trials.
-  client.listen(kReliabilityServicePort, netsim::TcpServerOptions{});
-
-  auto cleanup = [&] {
-    client.reset_traffic_state();
-    scenario.us_machine(0).reset_traffic_state();
-    scenario.us_machine(1).reset_traffic_state();
-    scenario.tor_node().reset_traffic_state();
-    net.sim().run_for(util::Duration::millis(50));
-  };
-
-  std::vector<ReliabilityResult> results;
-  for (TriggerKind kind :
-       {TriggerKind::kSniI, TriggerKind::kSniII, TriggerKind::kSniIV,
-        TriggerKind::kQuic, TriggerKind::kIpBased}) {
-    ReliabilityResult r;
-    r.kind = kind;
-    r.trials = config.trials;
-    for (int t = 0; t < config.trials; ++t) {
-      if (reliability_trial(scenario, vp, kind, config)) ++r.unblocked;
-      cleanup();
-    }
-    results.push_back(r);
-  }
-
-  client.close_port(kReliabilityServicePort);
-  return results;
 }
 
 namespace {

@@ -1,13 +1,14 @@
-// ScanCampaign: the full §7.2/§7.3 remote-measurement pipeline as one
-// reusable orchestration — fingerprint sweep, per-positive localization,
-// traceroute-based TSPU-link clustering, and per-port aggregation. This is
-// what the fig9/fig10/fig12 benches and the national_scan example drive.
+// parallel_scan: the full §7.2/§7.3 remote-measurement pipeline as one
+// sharded, resumable campaign — fingerprint sweep, per-positive
+// localization, traceroute-based TSPU-link clustering, and per-port
+// aggregation. The fig9/fig10/fig12 benches, `tspucli scan` and the
+// checkpoint/resume driver all go through it.
 //
-// parallel_scan() is the sharded version: every endpoint probe is an
-// independent simulation, so the runner gives each worker thread its own
-// NationalTopology replica (same config, same seed => identical world) and
-// isolates consecutive probes with begin_trial(). Results are merged in
-// endpoint order, making the outcome bit-identical for any job count.
+// Every endpoint probe is an independent simulation, so the runner gives
+// each worker thread its own NationalTopology replica (same config, same
+// seed => identical world) and isolates consecutive probes with
+// begin_trial(). Results are merged in endpoint order, making the outcome
+// bit-identical for any job count, and across a kill and resume.
 #pragma once
 
 #include <functional>
@@ -23,19 +24,6 @@
 #include "topo/national.h"
 
 namespace tspu::measure {
-
-struct EndpointScanResult {
-  const topo::Endpoint* endpoint = nullptr;
-  FragLimitResult fingerprint;
-  /// Vote tallies behind `fingerprint`; filled only when the probe ran with
-  /// a RetryPolicy.
-  std::optional<FragFingerprintVerdict> confidence;
-  /// Filled only for fingerprint-positive endpoints when localization ran.
-  std::optional<FragLocalizeResult> location;
-  /// Router pair straddling the device ("TSPU link"), zero-valued when a
-  /// side is the destination leaf itself.
-  std::optional<std::pair<util::Ipv4Addr, util::Ipv4Addr>> tspu_link;
-};
 
 struct ScanSummary {
   std::size_t endpoints_probed = 0;
@@ -62,47 +50,6 @@ struct ScanSummary {
   /// Share of localized devices within `n` hops of the destination.
   double within_hops_share(int n) const;
 };
-
-struct ScanConfig {
-  /// Localize (TTL-limited fragments + traceroute) each positive endpoint.
-  bool localize = true;
-  /// Cap on endpoints probed (0 = all).
-  std::size_t max_endpoints = 0;
-  /// Probe only every k-th endpoint (spreads samples across ASes).
-  std::size_t stride = 1;
-  /// Retry + majority-vote every probe primitive (fingerprint, frag-TTL
-  /// localization, traceroute) under retry_policy; fills the confidence /
-  /// verdict fields and makes `tspu_positive` count kConfirmed only.
-  bool retry = false;
-  RetryPolicy retry_policy;
-};
-
-class ScanCampaign {
- public:
-  ScanCampaign(netsim::Network& net, netsim::Host& prober)
-      : net_(net), prober_(prober) {}
-
-  /// Probes one endpoint (fingerprint + optional localization). With `retry`
-  /// set, every primitive takes the vote and the result carries confidence.
-  EndpointScanResult probe(const topo::Endpoint& ep, bool localize = true,
-                           const RetryPolicy* retry = nullptr);
-
-  /// Sweeps the given endpoints and aggregates.
-  ScanSummary run(const std::vector<topo::Endpoint>& endpoints,
-                  const ScanConfig& config = {});
-
-  /// The per-endpoint records of the last run().
-  const std::vector<EndpointScanResult>& results() const { return results_; }
-
- private:
-  netsim::Network& net_;
-  netsim::Host& prober_;
-  std::vector<EndpointScanResult> results_;
-};
-
-// ---------------------------------------------------------------------------
-// Sharded national scan
-// ---------------------------------------------------------------------------
 
 /// One endpoint's probe outcome with the endpoint's identity and ground
 /// truth copied out of the replica (the replicas are destroyed when
@@ -144,8 +91,7 @@ struct ParallelScanConfig {
   bool fingerprint = true;
   /// Run frag-TTL localization.
   bool localize = false;
-  /// With fingerprinting on, localize only fingerprint-positive endpoints
-  /// (the serial ScanCampaign behavior).
+  /// With fingerprinting on, localize only fingerprint-positive endpoints.
   bool localize_only_positive = true;
   /// Also traceroute localized endpoints to name the TSPU link pair.
   bool trace_links = false;
@@ -179,21 +125,19 @@ struct ParallelScanOutcome {
 /// and probes the selected endpoints, round-robin across shards, with
 /// begin_trial() isolation between probes. jobs <= 0 selects hardware
 /// concurrency. The outcome is bit-identical for every jobs value.
+///
+/// With a snapshot path in `ckpt` the campaign checkpoints at every wave
+/// barrier (runner/checkpoint.h) and, on ckpt.resume, reloads completed
+/// records, per-shard recorder state, and — when the job count matches the
+/// snapshot's — the full replica state (device tables, RNG cursors, host
+/// counters, clock). Final records, metrics JSON, and trace JSONL are
+/// byte-identical to an uninterrupted run at any job count. Throws
+/// runner::CampaignInterrupted on SIGTERM or the abort_after_items hook,
+/// after writing the snapshot.
 ParallelScanOutcome parallel_scan(const topo::NationalConfig& topo_config,
                                   const ParallelScanConfig& config = {},
-                                  int jobs = 0);
-
-/// parallel_scan with checkpoint/resume (runner/checkpoint.h): snapshots
-/// the campaign to ckpt.path at every wave barrier and, on
-/// ckpt.resume, reloads completed records, per-shard recorder state, and —
-/// when the job count matches the snapshot's — the full replica state
-/// (device tables, RNG cursors, host counters, clock). Final records,
-/// metrics JSON, and trace JSONL are byte-identical to an uninterrupted
-/// run at any job count. Throws runner::CampaignInterrupted on SIGTERM or
-/// the abort_after_items hook, after writing the snapshot.
-ParallelScanOutcome parallel_scan_checkpointed(
-    const topo::NationalConfig& topo_config, const ParallelScanConfig& config,
-    const runner::CheckpointOptions& ckpt, int jobs = 0);
+                                  int jobs = 0,
+                                  const runner::CheckpointOptions& ckpt = {});
 
 /// ScanRecord <-> snapshot blob codec, exposed for the round-trip property
 /// tests and ckpt2txt. encode(decode(b)) reproduces b byte-for-byte.

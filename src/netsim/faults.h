@@ -6,8 +6,7 @@
 // module makes those failure modes first-class and *seedable* so the
 // retry/confidence layer (measure/retry.h) can be stress-tested:
 //
-//   - bursty loss via a Gilbert–Elliott two-state chain (alongside the
-//     existing i.i.d. Network::set_link_loss knob),
+//   - i.i.d. loss, and bursty loss via a Gilbert–Elliott two-state chain,
 //   - packet duplication, reordering, and payload corruption,
 //   - latency jitter and link flaps (down/up windows on the sim clock),
 //   - TSPU device faults: fail-open, fail-closed, and mid-flow reboots
@@ -102,8 +101,9 @@ bool flap_down(const std::vector<FlapWindow>& flaps,
 /// Everything that can go wrong on one link. Installed per-link via
 /// Network::set_link_faults or network-wide via set_default_link_faults.
 struct LinkFaultPlan {
-  /// Extra i.i.d. loss drawn from the link's own fault stream (the legacy
-  /// set_link_loss knob draws from a single shared RNG instead).
+  /// I.i.d. loss drawn from the link's own fault stream. The paper repeats
+  /// every measurement >5 times "to account for the TSPU failure or
+  /// transient routing changes" (§3) — this is the transient part.
   double iid_loss = 0.0;
   /// Bursty loss; enabled when burst.p_enter_bad > 0.
   GilbertElliott burst;

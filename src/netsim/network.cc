@@ -111,11 +111,6 @@ void Network::forward(NodeId from, wire::Packet pkt) {
   transmit(from, next, std::move(pkt));
 }
 
-void Network::set_link_loss(NodeId a, NodeId b, double probability) {
-  loss_[{a, b}] = probability;
-  loss_[{b, a}] = probability;
-}
-
 void Network::set_link_faults(NodeId a, NodeId b, LinkFaultPlan plan) {
   fault_plans_[{a, b}] = plan;
   fault_plans_[{b, a}] = std::move(plan);
@@ -198,15 +193,6 @@ void Network::transmit(NodeId from, NodeId to, wire::Packet pkt) {
   if (edge == nullptr)
     throw std::logic_error("transmit over non-existent link " +
                            node(from).name() + " -> " + node(to).name());
-  if (!loss_.empty()) {
-    const auto* loss = loss_.find({from, to});
-    if (loss != nullptr && loss_rng_.bernoulli(loss->second)) {
-      TSPU_OBS_COUNT("netsim.drop.loss");
-      if (obs::tracing())
-        trace_link_event("drop.loss", *this, from, to, sim_.now(), pkt);
-      return;  // transient loss: the packet simply vanishes
-    }
-  }
   const LinkFaultPlan* plan = fault_plan(from, to);
   if (plan == nullptr || !plan->any()) {
     deliver(from, to, std::move(pkt), edge->second);

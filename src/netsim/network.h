@@ -30,15 +30,6 @@ class Network final : private PacketSink {
   /// Creates a bidirectional link with the given one-way propagation delay.
   void link(NodeId a, NodeId b, util::Duration delay = util::Duration::millis(1));
 
-  /// Sets a random-loss probability on the (bidirectional) a—b link. The
-  /// paper repeats every measurement >5 times "to account for the TSPU
-  /// failure or transient routing changes" (§3) — this is the transient
-  /// part, for tests of measurement robustness.
-  void set_link_loss(NodeId a, NodeId b, double probability);
-
-  /// Seeds the deterministic RNG behind link loss.
-  void seed_loss_rng(std::uint64_t seed) { loss_rng_.reseed(seed); }
-
   /// Installs a fault plan on the (bidirectional) a—b link; each direction
   /// keeps its own chain state and RNG stream. Overwrites a prior plan.
   void set_link_faults(NodeId a, NodeId b, LinkFaultPlan plan);
@@ -127,8 +118,6 @@ class Network final : private PacketSink {
   // maps: transmit() resolves an edge per packet-hop, and find_by_addr runs
   // per probe, so these are the simulator's hottest lookups.
   util::FlatMap<std::pair<NodeId, NodeId>, util::Duration> edges_;
-  util::FlatMap<std::pair<NodeId, NodeId>, double> loss_;
-  util::Rng loss_rng_{0x105511ull};
   // Fault-injection layer (netsim/faults.h). Plans are per-direction;
   // chain/RNG state is created lazily with order-independent seeds.
   util::FlatMap<std::pair<NodeId, NodeId>, LinkFaultPlan> fault_plans_;

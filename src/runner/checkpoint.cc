@@ -3,6 +3,8 @@
 #include <csignal>
 #include <cstdio>
 
+#include "util/statecodec.h"
+
 namespace tspu::runner {
 namespace {
 
@@ -42,7 +44,6 @@ const char* const kCheckpointCodecRegistry[] = {
     // begin_trial — nothing survives an item boundary to snapshot:
     "reseed_stochastic",        // topo fan-out root (splitmix64 of item seed)
     "reseed_fault_rngs",        // per-link fault streams (fault_stream_seed)
-    "seed_loss_rng",            // network loss stream
     // Reset to empty per item; capture/flow buffers never cross items:
     "reset_traffic_state",      // netsim::Host captures/flows/reassembly
 };

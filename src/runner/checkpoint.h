@@ -1,15 +1,16 @@
-// Deterministic checkpoint/resume for sharded campaigns.
+// The durability half of the shard runner: snapshot options, the snapshot
+// file format, and the SIGTERM latch.
 //
-// A campaign built on ShardRunner::map can run for hours (a 1:1-scale
-// national scan probes millions of endpoints); preemption or a SIGTERM used
-// to throw all of it away. checkpointed_map() is map() with a durability
-// contract: the full per-shard trial state — completed results, per-shard
-// context state (device tables, RNG cursors, host counters), and the flight
-// recorder — is serialized into a versioned, length-prefixed snapshot,
-// written atomically every N items and on SIGTERM. Resuming from the
-// snapshot continues the campaign such that the final result vector, the
-// merged metrics JSON, and the trace JSONL are byte-identical to an
-// uninterrupted run, at any job count.
+// A sharded campaign can run for hours (a 1:1-scale national scan probes
+// millions of endpoints); preemption or a SIGTERM would throw all of it
+// away. runner::checkpointed_map (runner/runner.h) therefore takes
+// CheckpointOptions: with a snapshot path it serializes the full per-shard
+// trial state — completed results, per-shard context state (device tables,
+// RNG cursors, host counters), and the flight recorder — into a versioned,
+// length-prefixed snapshot, written atomically every N items and on
+// SIGTERM. Resuming from the snapshot continues the campaign such that the
+// final result vector, the merged metrics JSON, and the trace JSONL are
+// byte-identical to an uninterrupted run, at any job count.
 //
 // Why this works:
 //  * Results: the runner's determinism contract already makes item i's
@@ -29,30 +30,22 @@
 //
 // The runner layer cannot see topo/ or measure/, so the campaign-specific
 // encoding lives in a Codec object the caller supplies (see
-// measure/scan.h's checkpointed national scan for the canonical one).
+// measure/scan.cc's ScanCodec for the canonical one).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "obs/obs.h"
-#include "runner/runner.h"
-#include "util/statecodec.h"
 
 namespace tspu::runner {
 
 struct CheckpointOptions {
-  /// Snapshot file. Empty disables checkpointing entirely (checkpointed_map
-  /// then degenerates to a single wave with no snapshot I/O).
+  /// Snapshot file. Empty disables checkpointing entirely: checkpointed_map
+  /// then runs one wave with no snapshot I/O and no SIGTERM polling.
   std::string path;
   /// Snapshot cadence in items; rounded up to a multiple of the job count
   /// so snapshots land on wave barriers. 0 behaves as 1 wave = jobs items.
@@ -87,8 +80,9 @@ class CampaignInterrupted : public std::exception {
 };
 
 /// Installs a SIGTERM handler that latches a flag checked at every wave
-/// barrier; the in-progress wave finishes, a snapshot is written, and
-/// checkpointed_map throws CampaignInterrupted. Safe to call repeatedly.
+/// barrier of a campaign with a snapshot path; the in-progress wave
+/// finishes, a snapshot is written, and checkpointed_map throws
+/// CampaignInterrupted. Safe to call repeatedly.
 void install_sigterm_checkpoint();
 /// True once SIGTERM was delivered after install_sigterm_checkpoint().
 bool sigterm_requested();
@@ -135,196 +129,5 @@ std::optional<Snapshot> read_snapshot(const std::string& path);
 /// round-trip through a codec or carry an explicit allow marker.
 extern const char* const kCheckpointCodecRegistry[];
 extern const std::size_t kCheckpointCodecRegistrySize;
-
-namespace detail {
-
-/// Emplace adapter: lets std::optional<Ctx>::emplace build a non-movable
-/// context in place via guaranteed copy elision of make(shard)'s return.
-template <typename Make, typename Ctx>
-struct CtxEmplacer {
-  Make& make;
-  int shard;
-  operator Ctx() && { return make(shard); }  // NOLINT: implicit by design
-};
-
-}  // namespace detail
-
-/// ShardRunner::map with checkpoint/resume. `codec` supplies the
-/// campaign-specific encoding:
-///
-///   std::uint64_t identity() const;                  // config hash
-///   void encode(const Result&, util::StateWriter&);  // result -> blob
-///   bool decode(Result&, util::StateReader&);        // blob -> result
-///   void save_shard(Ctx&, util::StateWriter&);       // context -> blob
-///   bool load_shard(Ctx&, util::StateReader&);       // blob -> context
-///
-/// Result must be default-constructible (decode target). encode(decode(b))
-/// must reproduce b byte-for-byte — the snapshot is re-encoded from decoded
-/// results on the next checkpoint, and the codec property tests pin this.
-///
-/// Throws CampaignInterrupted (snapshot already written) on SIGTERM or the
-/// abort_after_items hook; throws std::runtime_error when a resume snapshot
-/// is missing, corrupt, or from a different campaign.
-template <typename MakeCtx, typename Fn, typename Codec>
-auto checkpointed_map(std::size_t n_items, int jobs_requested,
-                      MakeCtx&& make_ctx, Fn&& fn, Codec&& codec,
-                      const CheckpointOptions& opts) {
-  using Ctx = std::invoke_result_t<MakeCtx&, int>;
-  using Result = std::invoke_result_t<Fn&, Ctx&, std::size_t>;
-  static_assert(std::is_default_constructible_v<Result>,
-                "checkpointed_map results must be default-constructible "
-                "(snapshot decode target)");
-
-  if (n_items == 0) return std::vector<Result>{};
-  const int jobs = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(effective_jobs(jobs_requested)), n_items));
-  const std::size_t uj = static_cast<std::size_t>(jobs);
-
-  std::vector<std::optional<Result>> slots(n_items);
-  obs::Recorder* parent = obs::recorder();
-  std::vector<std::unique_ptr<obs::Recorder>> children(uj);
-  std::vector<std::optional<Ctx>> contexts(uj);
-  /// Saved shard-context blobs, applied once when a shard first builds its
-  /// replica. Populated only when the snapshot's job count matches ours;
-  /// otherwise fresh replicas are equivalent by the determinism contract.
-  std::vector<std::string> shard_restore;
-  /// Recorder blobs inherited from interrupted generations; merged into the
-  /// parent at completion and carried forward into every snapshot so a
-  /// resume-of-a-resume still reproduces the full history.
-  std::vector<std::string> base_recorders;
-
-  std::size_t start = 0;
-  if (opts.resume) {
-    std::optional<Snapshot> snap = read_snapshot(opts.path);
-    if (!snap) {
-      throw std::runtime_error("checkpoint: cannot resume from '" +
-                               opts.path + "': missing or corrupt snapshot");
-    }
-    if (snap->identity != codec.identity() || snap->n_items != n_items ||
-        snap->next_index > n_items ||
-        snap->results.size() != snap->next_index) {
-      throw std::runtime_error(
-          "checkpoint: snapshot belongs to a different campaign");
-    }
-    for (const auto& [index, blob] : snap->results) {
-      if (index >= n_items) {
-        throw std::runtime_error("checkpoint: result index out of range");
-      }
-      util::StateReader r(blob);
-      Result res{};
-      if (!codec.decode(res, r) || !r.done()) {
-        throw std::runtime_error("checkpoint: result blob rejected");
-      }
-      slots[index].emplace(std::move(res));
-    }
-    base_recorders = std::move(snap->recorder_blobs);
-    if (snap->shard_count == static_cast<std::uint32_t>(jobs)) {
-      shard_restore = std::move(snap->shard_blobs);
-    }
-    start = static_cast<std::size_t>(snap->next_index);
-  }
-
-  // Wave size: the checkpoint cadence rounded up to a shard multiple so a
-  // snapshot always happens at a barrier, with every shard quiescent.
-  std::size_t chunk = n_items;
-  if (!opts.path.empty()) {
-    chunk = ((std::max<std::size_t>(opts.every_n_items, 1) + uj - 1) / uj) * uj;
-  }
-
-  auto take_checkpoint = [&](std::size_t completed) {
-    Snapshot snap;
-    snap.identity = codec.identity();
-    snap.n_items = n_items;
-    snap.next_index = completed;
-    snap.shard_count = static_cast<std::uint32_t>(jobs);
-    snap.results.reserve(completed);
-    for (std::size_t i = 0; i < completed; ++i) {
-      util::StateWriter w;
-      codec.encode(*slots[i], w);
-      snap.results.emplace_back(i, w.take());
-    }
-    snap.recorder_blobs = base_recorders;
-    for (const std::unique_ptr<obs::Recorder>& child : children) {
-      if (!child) continue;
-      util::StateWriter w;
-      child->save_state(w);
-      snap.recorder_blobs.push_back(w.take());
-    }
-    for (std::optional<Ctx>& ctx : contexts) {
-      util::StateWriter w;
-      if (ctx) codec.save_shard(*ctx, w);
-      snap.shard_blobs.push_back(w.take());
-    }
-    if (!write_snapshot(opts.path, snap)) {
-      throw std::runtime_error("checkpoint: cannot write snapshot to '" +
-                               opts.path + "'");
-    }
-  };
-
-  for (std::size_t wave_begin = start; wave_begin < n_items;) {
-    const std::size_t wave_end = std::min(n_items, wave_begin + chunk);
-    runner::detail::run_shards(jobs, [&](int shard) {
-      const auto us = static_cast<std::size_t>(shard);
-      std::optional<obs::RecorderScope> scope;
-      if (parent != nullptr) {
-        if (!children[us]) {
-          children[us] = std::make_unique<obs::Recorder>(parent->config());
-        }
-        scope.emplace(*children[us]);
-      }
-      if (!contexts[us]) {
-        {
-          obs::MuteGuard mute;
-          contexts[us].emplace(
-              detail::CtxEmplacer<MakeCtx, Ctx>{make_ctx, shard});
-        }
-        if (us < shard_restore.size()) {
-          util::StateReader r(shard_restore[us]);
-          if (!codec.load_shard(*contexts[us], r) || !r.done()) {
-            throw std::runtime_error(
-                "checkpoint: shard state blob rejected on resume");
-          }
-        }
-      }
-      // Item i belongs to shard i % jobs, exactly as in ShardRunner::map;
-      // the first owned index at or after wave_begin:
-      std::size_t i = wave_begin + ((us + uj - wave_begin % uj) % uj);
-      for (; i < wave_end; i += uj) {
-        obs::begin_item(i);
-        slots[i].emplace(fn(*contexts[us], i));
-      }
-    });
-    wave_begin = wave_end;
-
-    const bool finished = wave_end == n_items;
-    const bool interrupted =
-        sigterm_requested() ||
-        (opts.abort_after_items != 0 && wave_end >= opts.abort_after_items &&
-         !finished);
-    if (!opts.path.empty() && (!finished || interrupted)) {
-      take_checkpoint(wave_end);
-    }
-    if (interrupted) throw CampaignInterrupted(opts.path, wave_end);
-  }
-
-  if (parent != nullptr) {
-    for (const std::string& blob : base_recorders) {
-      obs::Recorder base(parent->config());
-      util::StateReader r(blob);
-      if (!base.load_state(r) || !r.done()) {
-        throw std::runtime_error("checkpoint: recorder blob rejected");
-      }
-      parent->merge_from(std::move(base));
-    }
-    for (std::unique_ptr<obs::Recorder>& child : children) {
-      if (child) parent->merge_from(std::move(*child));
-    }
-  }
-
-  std::vector<Result> out;
-  out.reserve(n_items);
-  for (std::optional<Result>& slot : slots) out.push_back(std::move(*slot));
-  return out;
-}
 
 }  // namespace tspu::runner

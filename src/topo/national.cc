@@ -115,9 +115,11 @@ NationalTopology::NationalTopology(NationalConfig config)
 void NationalTopology::reseed_stochastic(std::uint64_t seed) {
   util::Rng root(seed);
   for (core::Device* d : devices_) d->reseed(root.next());
-  net_.seed_loss_rng(root.next());
+  // Discarded draw: keeps the fault root below on the seed it has always
+  // had, so fault-plan results do not shift.
+  root.next();
   // Rotates every per-link fault stream and re-anchors the flap/reboot epoch
-  // at the current instant; drawn last so the device/loss streams above keep
+  // at the current instant; drawn last so the device streams above keep
   // their historical seeds.
   net_.reseed_fault_rngs(root.next());
 }

@@ -434,9 +434,11 @@ void Scenario::reseed_stochastic(std::uint64_t seed) {
   for (VantagePoint& v : vps_) {
     for (core::Device* d : v.devices) d->reseed(root.next());
   }
-  net_.seed_loss_rng(root.next());
+  // Discarded draw: keeps the fault root below on the seed it has always
+  // had, so fault-plan results do not shift.
+  root.next();
   // Rotates every per-link fault stream and re-anchors the flap/reboot epoch
-  // at the current instant; drawn last so the device/loss streams above keep
+  // at the current instant; drawn last so the device streams above keep
   // their historical seeds.
   net_.reseed_fault_rngs(root.next());
 }

@@ -628,6 +628,31 @@ TEST(CheckpointedMap, SigtermLatchInterruptsAtWaveBarrier) {
   EXPECT_EQ(run_int_campaign(20, 2, res).size(), 20u);
 }
 
+TEST(CheckpointedMap, RunsWithoutSnapshotPathIgnoreSigterm) {
+  // A result type with no default constructor: only snapshot decoding
+  // needs one, so the no-snapshot case must not ask for it.
+  struct Boxed {
+    explicit Boxed(std::size_t v) : value(v) {}
+    std::size_t value;
+  };
+  const std::vector<std::uint64_t> expected =
+      run_int_campaign(20, 2, runner::CheckpointOptions{});
+  runner::reset_sigterm_for_testing();
+  runner::install_sigterm_checkpoint();
+  std::raise(SIGTERM);
+  ASSERT_TRUE(runner::sigterm_requested());
+
+  // Without a snapshot path there is nothing to resume from, so the latch
+  // must not stop the campaign.
+  EXPECT_EQ(run_int_campaign(20, 2, runner::CheckpointOptions{}), expected);
+  const auto boxed = runner::shard_map(
+      20, 2, [](int) { return 0; },
+      [](int&, std::size_t i) { return Boxed(i); });
+  ASSERT_EQ(boxed.size(), 20u);
+  EXPECT_EQ(boxed[19].value, 19u);
+  runner::reset_sigterm_for_testing();
+}
+
 // ------------------------------------------------- lazy-expiry regressions
 
 TEST(OverloadRegression, ExpiredConnEntriesDoNotTriggerOverloadEnter) {
@@ -827,14 +852,8 @@ E2ERun run_national(int jobs, const runner::CheckpointOptions& ckpt) {
   obs::Recorder rec(tc);
   obs::RecorderScope scope(rec);
 
-  measure::ParallelScanOutcome out;
-  if (ckpt.path.empty()) {
-    out = measure::parallel_scan(national_config(), national_scan_config(),
-                                 jobs);
-  } else {
-    out = measure::parallel_scan_checkpointed(
-        national_config(), national_scan_config(), ckpt, jobs);
-  }
+  const measure::ParallelScanOutcome out = measure::parallel_scan(
+      national_config(), national_scan_config(), jobs, ckpt);
   E2ERun run;
   run.records_blob = digest_records(out.records);
   run.summary_digest = digest_summary(out.summary);
@@ -864,8 +883,8 @@ TEST(CheckpointResume, NationalScanKillResumeByteIdentical) {
       tc.per_item_cap = 4096;
       obs::Recorder rec(tc);
       obs::RecorderScope scope(rec);
-      EXPECT_THROW(measure::parallel_scan_checkpointed(
-                       national_config(), national_scan_config(), kill, jobs),
+      EXPECT_THROW(measure::parallel_scan(national_config(),
+                                          national_scan_config(), jobs, kill),
                    runner::CampaignInterrupted);
     }
     const auto snap = runner::read_snapshot(path);
@@ -902,8 +921,8 @@ TEST(CheckpointResume, NationalScanResumeAtDifferentJobCount) {
     tc.per_item_cap = 4096;
     obs::Recorder rec(tc);
     obs::RecorderScope scope(rec);
-    EXPECT_THROW(measure::parallel_scan_checkpointed(
-                     national_config(), national_scan_config(), kill, 4),
+    EXPECT_THROW(measure::parallel_scan(national_config(),
+                                        national_scan_config(), 4, kill),
                  runner::CampaignInterrupted);
   }
   runner::CheckpointOptions resume;

@@ -20,14 +20,15 @@ namespace {
 
 class NationalFidelity : public ::testing::Test {
  protected:
+  static topo::NationalConfig config() {
+    topo::NationalConfig cfg;
+    cfg.endpoint_scale = 0.002;  // ~8k endpoints
+    cfg.n_ases = 200;
+    cfg.seed = 650;
+    return cfg;
+  }
   static topo::NationalTopology& topo() {
-    static topo::NationalTopology t([] {
-      topo::NationalConfig cfg;
-      cfg.endpoint_scale = 0.002;  // ~8k endpoints
-      cfg.n_ases = 200;
-      cfg.seed = 650;
-      return cfg;
-    }());
+    static topo::NationalTopology t(config());
     return t;
   }
 };
@@ -94,11 +95,10 @@ TEST_F(NationalFidelity, HopsHistogramHasLeafBiasAndTail) {
 }
 
 TEST_F(NationalFidelity, ScanRecoversGroundTruthShares) {
-  measure::ScanCampaign campaign(topo().net(), topo().prober());
-  measure::ScanConfig cfg;
-  cfg.localize = false;
+  measure::ParallelScanConfig cfg;  // fingerprints only
   cfg.stride = 7;  // sample
-  auto summary = campaign.run(topo().endpoints(), cfg);
+  const measure::ScanSummary summary =
+      measure::parallel_scan(config(), cfg, 2).summary;
 
   // Compare the scan's positive share against downstream-visible ground
   // truth over the same sample.

@@ -48,11 +48,11 @@ TEST(Report, ScanSummaryExports) {
   cfg.endpoint_scale = 0.0004;
   cfg.n_ases = 40;
   cfg.echo_servers = 30;
-  topo::NationalTopology topo(cfg);
-  measure::ScanCampaign campaign(topo.net(), topo.prober());
-  measure::ScanConfig sc;
+  measure::ParallelScanConfig sc;
+  sc.localize = true;
+  sc.trace_links = true;
   sc.max_endpoints = 120;
-  auto summary = campaign.run(topo.endpoints(), sc);
+  const measure::ScanSummary summary = measure::parallel_scan(cfg, sc, 2).summary;
 
   const std::string json = measure::scan_summary_json(summary);
   EXPECT_NE(json.find("\"endpoints_probed\":120"), std::string::npos) << json;

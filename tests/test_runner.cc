@@ -245,5 +245,33 @@ TEST(Runner, SupportsMoveOnlyContextAndResult) {
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(*out[i], i);
 }
 
+/// The shard whose replica the current thread built; run_shards starts a
+/// fresh thread per shard, so it reads -1 on any thread that built none.
+thread_local int t_built_shard = -1;
+
+TEST(Runner, ReplicasAreDestroyedOnTheThreadThatBuiltThem) {
+  // Records, per shard, which shard's builder thread ran the destructor.
+  struct Replica {
+    Replica(int s, std::vector<int>& sink) : shard(s), died_on(sink) {
+      t_built_shard = s;
+    }
+    Replica(const Replica&) = delete;
+    Replica& operator=(const Replica&) = delete;
+    ~Replica() { died_on[static_cast<std::size_t>(shard)] = t_built_shard; }
+    int shard;
+    std::vector<int>& died_on;
+  };
+  constexpr int kJobs = 3;
+  std::vector<int> died_on(kJobs, -2);
+  auto out = runner::shard_map(
+      12, kJobs,
+      [&died_on](int shard) { return Replica(shard, died_on); },
+      [](Replica&, std::size_t i) { return i; });
+  ASSERT_EQ(out.size(), 12u);
+  for (int shard = 0; shard < kJobs; ++shard) {
+    EXPECT_EQ(died_on[static_cast<std::size_t>(shard)], shard);
+  }
+}
+
 }  // namespace
 }  // namespace tspu

@@ -1,4 +1,5 @@
-// Tests for the ScanCampaign orchestration and link-loss robustness.
+// Tests for the national scan campaign (measure::parallel_scan) and
+// link-loss robustness.
 #include <gtest/gtest.h>
 
 #include "measure/scan.h"
@@ -19,17 +20,17 @@ topo::NationalConfig small_config() {
   return cfg;
 }
 
-class ScanCampaignTest : public ::testing::Test {
- protected:
-  ScanCampaignTest() : topo(small_config()) {}
-  topo::NationalTopology topo;
-};
+/// Two shards, so every campaign here also crosses a shard boundary.
+constexpr int kJobs = 2;
+
+class ScanCampaignTest : public ::testing::Test {};
 
 TEST_F(ScanCampaignTest, SummaryMatchesGroundTruth) {
-  measure::ScanCampaign campaign(topo.net(), topo.prober());
-  measure::ScanConfig cfg;
-  cfg.localize = false;  // fingerprints only: fast full sweep
-  auto summary = campaign.run(topo.endpoints(), cfg);
+  const topo::NationalTopology topo(small_config());  // ground truth
+  measure::ParallelScanConfig cfg;  // fingerprints only: fast full sweep
+  const measure::ParallelScanOutcome out =
+      measure::parallel_scan(small_config(), cfg, kJobs);
+  const measure::ScanSummary& summary = out.summary;
 
   std::size_t truth_positive = 0;
   for (const auto& ep : topo.endpoints()) {
@@ -37,15 +38,17 @@ TEST_F(ScanCampaignTest, SummaryMatchesGroundTruth) {
   }
   EXPECT_EQ(summary.endpoints_probed, topo.endpoints().size());
   EXPECT_EQ(summary.tspu_positive, truth_positive);
-  EXPECT_EQ(campaign.results().size(), summary.endpoints_probed);
+  EXPECT_EQ(out.records.size(), summary.endpoints_probed);
 }
 
 TEST_F(ScanCampaignTest, LocalizationFillsHistogramAndLinks) {
-  measure::ScanCampaign campaign(topo.net(), topo.prober());
-  measure::ScanConfig cfg;
+  measure::ParallelScanConfig cfg;
+  cfg.localize = true;
+  cfg.trace_links = true;
   cfg.max_endpoints = 200;
   cfg.stride = 3;
-  auto summary = campaign.run(topo.endpoints(), cfg);
+  const measure::ScanSummary summary =
+      measure::parallel_scan(small_config(), cfg, kJobs).summary;
 
   int localized = 0;
   for (const auto& [hops, count] : summary.hops_histogram) {
@@ -60,19 +63,16 @@ TEST_F(ScanCampaignTest, LocalizationFillsHistogramAndLinks) {
 }
 
 TEST_F(ScanCampaignTest, StrideAndCapRespected) {
-  measure::ScanCampaign campaign(topo.net(), topo.prober());
-  measure::ScanConfig cfg;
-  cfg.localize = false;
+  measure::ParallelScanConfig cfg;
   cfg.max_endpoints = 37;
-  auto summary = campaign.run(topo.endpoints(), cfg);
+  const measure::ScanSummary summary =
+      measure::parallel_scan(small_config(), cfg, kJobs).summary;
   EXPECT_EQ(summary.endpoints_probed, 37u);
 }
 
 TEST_F(ScanCampaignTest, PerPortAggregation) {
-  measure::ScanCampaign campaign(topo.net(), topo.prober());
-  measure::ScanConfig cfg;
-  cfg.localize = false;
-  auto summary = campaign.run(topo.endpoints(), cfg);
+  const measure::ScanSummary summary =
+      measure::parallel_scan(small_config(), {}, kJobs).summary;
   int probed_sum = 0, positive_sum = 0;
   for (const auto& [port, pair] : summary.by_port) {
     probed_sum += pair.first;
@@ -101,8 +101,10 @@ TEST(LinkLoss, DropsFractionOfPackets) {
   net.routes(bid).set_default(r);
   net.routes(r).add(util::Ipv4Prefix(a->addr(), 32), aid);
   net.routes(r).add(util::Ipv4Prefix(b->addr(), 32), bid);
-  net.set_link_loss(r, bid, 0.5);
-  net.seed_loss_rng(4242);
+  netsim::LinkFaultPlan loss;
+  loss.iid_loss = 0.5;
+  net.set_link_faults(r, bid, loss);
+  net.reseed_fault_rngs(4242);
 
   for (int i = 0; i < 400; ++i) {
     a->send_udp(b->addr(), 1, 2, util::to_bytes("x"));

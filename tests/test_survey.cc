@@ -3,6 +3,10 @@
 // methodology), and out-registry blocking invisibility to ISP resolvers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "ispdpi/resolver.h"
 #include "measure/domain_tester.h"
 #include "measure/rawflow.h"
@@ -14,17 +18,40 @@ using namespace tspu;
 
 namespace {
 
+/// One trigger kind's tally from a vantage point.
+struct ReliabilityTally {
+  measure::TriggerKind kind;
+  int trials = 0;
+  int unblocked = 0;  ///< censorship failed to engage
+};
+
+/// Runs `trials` sharded reliability trials of each trigger kind from
+/// `isp`'s vantage point, in TriggerKind order.
+std::vector<ReliabilityTally> measure_all_kinds(const topo::ScenarioConfig& cfg,
+                                                const std::string& isp,
+                                                std::size_t trials) {
+  constexpr std::uint64_t kSeed = 0x5e1f;
+  constexpr int kJobs = 2;
+  std::vector<ReliabilityTally> out;
+  for (measure::TriggerKind kind :
+       {measure::TriggerKind::kSniI, measure::TriggerKind::kSniII,
+        measure::TriggerKind::kSniIV, measure::TriggerKind::kQuic,
+        measure::TriggerKind::kIpBased}) {
+    const std::vector<bool> unblocked = measure::sharded_reliability_trials(
+        cfg, isp, kind, trials, kSeed, kJobs);
+    out.push_back({kind, static_cast<int>(unblocked.size()),
+                   static_cast<int>(std::count(unblocked.begin(),
+                                               unblocked.end(), true))});
+  }
+  return out;
+}
+
 TEST(Reliability, SingleDeviceIspFailsMoreOften) {
   topo::ScenarioConfig cfg;
   cfg.corpus.scale = 0.01;
-  topo::Scenario scenario(cfg);
 
-  measure::ReliabilityConfig rc;
-  rc.trials = 250;
-  auto ert = measure::measure_reliability(scenario, scenario.vp("ER-Telecom"),
-                                          rc);
-  auto rt = measure::measure_reliability(scenario, scenario.vp("Rostelecom"),
-                                         rc);
+  auto ert = measure_all_kinds(cfg, "ER-Telecom", 250);
+  auto rt = measure_all_kinds(cfg, "Rostelecom", 250);
   // ER-Telecom has one device; Rostelecom paths cross two. For SNI-II, both
   // Rostelecom devices must fail, so its unblocked count stays at/near zero
   // while ER-Telecom's is visibly larger (Table 1's ordering).
@@ -42,10 +69,8 @@ TEST(Reliability, PerfectDevicesNeverFail) {
   cfg.corpus.scale = 0.01;
   cfg.perfect_devices = true;
   topo::Scenario scenario(cfg);
-  measure::ReliabilityConfig rc;
-  rc.trials = 40;
-  for (auto& vp : scenario.vantage_points()) {
-    for (const auto& r : measure::measure_reliability(scenario, vp, rc)) {
+  for (const auto& vp : scenario.vantage_points()) {
+    for (const auto& r : measure_all_kinds(cfg, vp.isp, 40)) {
       EXPECT_EQ(r.unblocked, 0)
           << vp.isp << " " << measure::trigger_kind_name(r.kind);
     }

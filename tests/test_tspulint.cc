@@ -71,8 +71,10 @@ TEST(Tspulint, BadTreeFiresEveryRuleExactly) {
 
   const std::map<std::pair<std::string, std::string>, int> expected = {
       {{"shard-escape", "src/alpha/state.cc"}, 3},
+      {{"shard-escape", "src/beta/tally.cc"}, 1},
       {{"nodiscard-parse", "src/dns/nodiscardbad.h"}, 2},
       {{"capture-escape", "src/measure/capturebad.cc"}, 2},
+      {{"capture-escape", "src/measure/ckptcapturebad.cc"}, 1},
       {{"hotpath-alloc", "src/netsim/hotpathbad.cc"}, 3},
       {{"namespace-module", "src/measure/nonamespace.cc"}, 1},
       {{"retry", "src/measure/retrybad.cc"}, 1},

@@ -235,12 +235,11 @@ int cmd_scan(const Args& args) {
   topo::NationalConfig cfg;
   cfg.endpoint_scale = args.scale;
   cfg.n_ases = static_cast<std::size_t>(args.ases);
-  topo::NationalTopology topo(cfg);
-  measure::ScanCampaign campaign(topo.net(), topo.prober());
-  measure::ScanConfig sc;
-  sc.max_endpoints = args.max;
-  sc.stride = std::max<std::size_t>(1, topo.endpoints().size() / args.max);
-  auto summary = campaign.run(topo.endpoints(), sc);
+  measure::ParallelScanConfig sc;
+  sc.localize = true;
+  sc.trace_links = true;
+  sc.spread_sample = args.max;  // ~max endpoints spread over the whole list
+  const measure::ScanSummary summary = measure::parallel_scan(cfg, sc).summary;
 
   if (args.json) {
     std::printf("%s\n", measure::scan_summary_json(summary).c_str());
