@@ -101,6 +101,15 @@ struct OpeningCase {
   const char* name;
 };
 
+// Printed field by field so the case's test name is the same in every run
+// (the default byte dump shows the `flags` and `name` pointers).
+void PrintTo(const OpeningCase& c, std::ostream* os) {
+  *os << "flags=" << c.flags
+      << " from_local=" << (c.from_local ? "true" : "false")
+      << " effective_client="
+      << (c.expect_effective_client ? "true" : "false");
+}
+
 class ConntrackOpening : public ::testing::TestWithParam<OpeningCase> {};
 
 TEST_P(ConntrackOpening, FirstPacketDecidesInitiator) {
@@ -163,6 +172,12 @@ struct BlockCase {
   int seconds;
   const char* name;
 };
+
+// Printed field by field so the case's test name does not carry the `name`
+// pointer, which moves with address-space randomisation and binary layout.
+void PrintTo(const BlockCase& c, std::ostream* os) {
+  *os << c.name << " timeout=" << c.seconds << "s";
+}
 
 class BlockTimeoutMap : public ::testing::TestWithParam<BlockCase> {};
 

@@ -17,6 +17,19 @@ struct Row {
   int timeout;        ///< model's expected flip (seconds)
 };
 
+// gtest names each case with its printed parameter; printing the fields
+// keeps that name the same from run to run, where the default byte dump
+// would show pointers that move with address-space randomisation.
+void PrintTo(const Row& row, std::ostream* os) {
+  *os << "prefix=";
+  if (row.prefix.empty()) *os << "none";
+  for (size_t i = 0; i < row.prefix.size(); ++i) {
+    *os << (i ? "," : "") << row.prefix[i];
+  }
+  *os << " drop=" << (row.drop ? "true" : "false")
+      << " timeout=" << row.timeout << "s";
+}
+
 class Table8Row : public ::testing::TestWithParam<Row> {
  protected:
   static topo::Scenario& scenario() {

@@ -85,6 +85,21 @@ TEST(ServerHello, Parses) {
 
 // ---------------------------------------------------- Figure 13 fuzzing
 
+}  // namespace
+
+namespace tspu::tls {
+
+// Printed field by field so the case's test name is the same in every run
+// (the default byte dump shows the heap pointers of `name` and `bytes`).
+void PrintTo(const Alteration& alt, std::ostream* os) {
+  *os << alt.name << ": " << alt.bytes.size() << " bytes, SNI "
+      << (alt.sni_still_visible ? "visible" : "hidden");
+}
+
+}  // namespace tspu::tls
+
+namespace {
+
 class AlterationSuite
     : public ::testing::TestWithParam<Alteration> {};
 

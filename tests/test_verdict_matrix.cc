@@ -15,6 +15,13 @@ struct MatrixCase {
   measure::SniOutcome expected;
 };
 
+// Printed field by field so the case's test name is the same in every run
+// (the default byte dump shows the `domain` and `isp` pointers).
+void PrintTo(const MatrixCase& c, std::ostream* os) {
+  *os << c.domain << " at " << c.isp << " expects "
+      << measure::sni_outcome_name(c.expected);
+}
+
 std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
   std::string name = std::string(info.param.domain) + "_" + info.param.isp;
   for (char& c : name) {
