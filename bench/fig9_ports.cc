@@ -87,16 +87,17 @@ int main() {
 
     struct Control {
       const char* name;
-      wire::ReassemblyConfig cfg;
+      wire::FragmentPolicy cfg;
       bool reassembles;
     };
     const Control controls[] = {
-        {"plain Linux-like host (no middlebox)", {}, false},
+        {"plain Linux-like host (no middlebox)",
+         wire::linux_like_reassembly(), false},
         {"Cisco-like box (24-fragment limit)",
-         ispdpi::cisco_like_reassembly(), true},
+         wire::cisco_like_reassembly(), true},
         {"Juniper-like box (250-fragment limit)",
-         ispdpi::juniper_like_reassembly(), true},
-        {"RFC5722-style reassembling DPI", ispdpi::linux_like_reassembly(),
+         wire::juniper_like_reassembly(), true},
+        {"RFC5722-style reassembling DPI", wire::linux_like_reassembly(),
          true},
     };
     util::Table ct({"path", "responds@45", "responds@46", "TSPU-like?"});

@@ -1,124 +1,23 @@
 #include "ispdpi/middleboxes.h"
 
-#include <algorithm>
-
 #include "netsim/network.h"
 
 namespace tspu::ispdpi {
-
-FragmentInspectingBox::FragmentInspectingBox(std::string name,
-                                             wire::ReassemblyConfig config,
-                                             bool forward_reassembled)
-    : Middlebox(std::move(name)),
-      config_(config),
-      forward_reassembled_(forward_reassembled) {}
 
 void FragmentInspectingBox::process(wire::Packet pkt, netsim::Direction dir) {
   if (!pkt.ip.is_fragment()) {
     forward_on(std::move(pkt), dir);
     return;
   }
-  handle(std::move(pkt), dir == netsim::Direction::kLeftToRight ? up_ : down_,
-         dir);
-}
-
-void FragmentInspectingBox::expire(QueueMap& queues) {
-  for (auto it = queues.begin(); it != queues.end();) {
-    if (net().now() - it->second.started >= config_.timeout) {
-      it = queues.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void FragmentInspectingBox::handle(wire::Packet pkt, QueueMap& queues,
-                                   netsim::Direction dir) {
-  expire(queues);
-  const wire::FragmentKey key = wire::fragment_key(pkt.ip);
-  Queue& q = queues[key];
-  if (q.fragments.empty()) q.started = net().now();
-
-  const std::uint32_t off = pkt.ip.frag_offset;
-  const std::uint32_t end =
-      off + static_cast<std::uint32_t>(pkt.payload.size());
-
-  if (wire::overlaps_any(q.ranges, off, end)) {
-    switch (config_.overlap) {
-      case wire::OverlapPolicy::kDiscardQueue:
-        queues.erase(key);
-        return;
-      case wire::OverlapPolicy::kIgnoreNew:
-      case wire::OverlapPolicy::kAcceptFirst:
-        return;  // duplicate dropped, queue kept (RFC 5722 style)
-    }
-  }
-  if (q.fragments.size() + 1 > config_.max_fragments) {
-    queues.erase(key);
+  wire::FragmentTable& table =
+      dir == netsim::Direction::kLeftToRight ? up_ : down_;
+  wire::FragmentPush pushed = table.push(std::move(pkt), net().now());
+  if (!pushed.complete()) return;
+  if (forward_reassembled_) {
+    forward_on(wire::reassemble(pushed.fragments), dir);
     return;
   }
-  if (!pkt.ip.more_fragments) {
-    q.saw_last = true;
-    q.total_len = end;
-  }
-  q.ranges.emplace_back(off, end);
-  q.fragments.push_back(std::move(pkt));
-
-  // Completeness check.
-  if (!q.saw_last) return;
-  auto ranges = q.ranges;
-  std::sort(ranges.begin(), ranges.end());
-  std::uint32_t cursor = 0;
-  for (const auto& [lo, hi] : ranges) {
-    if (lo != cursor) return;
-    cursor = hi;
-  }
-  if (cursor != q.total_len) return;
-
-  if (forward_reassembled_) {
-    wire::Packet whole;
-    auto first = std::find_if(
-        q.fragments.begin(), q.fragments.end(),
-        [](const wire::Packet& p) { return p.ip.frag_offset == 0; });
-    whole.ip = first->ip;
-    whole.ip.more_fragments = false;
-    whole.ip.frag_offset = 0;
-    whole.payload.resize(q.total_len);
-    for (const wire::Packet& f : q.fragments) {
-      std::copy(f.payload.begin(), f.payload.end(),
-                whole.payload.begin() + f.ip.frag_offset);
-    }
-    queues.erase(key);
-    forward_on(std::move(whole), dir);
-  } else {
-    std::vector<wire::Packet> out = std::move(q.fragments);
-    queues.erase(key);
-    for (wire::Packet& f : out) forward_on(std::move(f), dir);
-  }
-}
-
-wire::ReassemblyConfig linux_like_reassembly() {
-  wire::ReassemblyConfig cfg;
-  cfg.max_fragments = 64;
-  cfg.overlap = wire::OverlapPolicy::kIgnoreNew;
-  cfg.timeout = util::Duration::seconds(30);
-  return cfg;
-}
-
-wire::ReassemblyConfig cisco_like_reassembly() {
-  wire::ReassemblyConfig cfg;
-  cfg.max_fragments = 24;
-  cfg.overlap = wire::OverlapPolicy::kAcceptFirst;
-  cfg.timeout = util::Duration::seconds(3);
-  return cfg;
-}
-
-wire::ReassemblyConfig juniper_like_reassembly() {
-  wire::ReassemblyConfig cfg;
-  cfg.max_fragments = 250;
-  cfg.overlap = wire::OverlapPolicy::kIgnoreNew;
-  cfg.timeout = util::Duration::seconds(30);
-  return cfg;
+  for (wire::Packet& f : pushed.fragments) forward_on(std::move(f), dir);
 }
 
 }  // namespace tspu::ispdpi

@@ -9,9 +9,8 @@
 // as TSPU.
 #pragma once
 
-#include <map>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "netsim/middlebox.h"
 #include "wire/fragment.h"
@@ -19,7 +18,8 @@
 namespace tspu::ispdpi {
 
 /// A middlebox that performs virtual reassembly for inspection: fragments
-/// are buffered per (src, dst, IPID) queue and released when the datagram
+/// are buffered per (src, dst, IPID) queue under one of the wire presets
+/// (linux_like_reassembly and friends) and released when the datagram
 /// completes — either as the original fragments (cut-through inspection,
 /// `forward_reassembled=false`) or as one reassembled packet
 /// (`forward_reassembled=true`, the "other middleboxes ... that reassemble
@@ -27,34 +27,20 @@ namespace tspu::ispdpi {
 /// TSPU, fragment TTLs are never rewritten.
 class FragmentInspectingBox : public netsim::Middlebox {
  public:
-  FragmentInspectingBox(std::string name, wire::ReassemblyConfig config,
-                        bool forward_reassembled = false);
+  FragmentInspectingBox(std::string name, wire::FragmentPolicy policy,
+                        bool forward_reassembled = false)
+      : Middlebox(std::move(name)),
+        forward_reassembled_(forward_reassembled),
+        up_(policy),
+        down_(policy) {}
 
   void process(wire::Packet pkt, netsim::Direction dir) override;
 
  private:
-  struct Queue {
-    std::vector<wire::Packet> fragments;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
-    util::Instant started;
-    bool saw_last = false;
-    std::uint32_t total_len = 0;
-  };
-  using QueueMap = std::map<wire::FragmentKey, Queue>;
-
-  void handle(wire::Packet pkt, QueueMap& queues, netsim::Direction dir);
-  void expire(QueueMap& queues);
-
-  wire::ReassemblyConfig config_;
   bool forward_reassembled_;
-  QueueMap up_;
-  QueueMap down_;
+  wire::FragmentTable up_;
+  wire::FragmentTable down_;
 };
-
-/// Factory presets matching the limits the paper cites ([6, 14, 15], §7.2).
-wire::ReassemblyConfig linux_like_reassembly();    ///< 64-fragment queue
-wire::ReassemblyConfig cisco_like_reassembly();    ///< 24-fragment queue
-wire::ReassemblyConfig juniper_like_reassembly();  ///< 250-fragment queue
 
 /// A plain transparent forwarder (a "middlebox" that does nothing) — the
 /// null control for every on-path experiment.

@@ -229,12 +229,7 @@ void TcpClient::handle(const wire::TcpSegment& seg) {
 // --------------------------------------------------------------------- Host
 
 Host::Host(std::string name, util::Ipv4Addr addr)
-    : Node(std::move(name), addr),
-      reassembler_(wire::ReassemblyConfig{}) {}
-
-void Host::set_reassembly(wire::ReassemblyConfig cfg) {
-  reassembler_ = wire::Reassembler(cfg);
-}
+    : Node(std::move(name), addr) {}
 
 void Host::record(const wire::Packet& pkt, bool outbound) {
   if (captured_.size() >= capture_limit_) return;
@@ -304,6 +299,7 @@ void Host::reset_traffic_state() {
   captured_.clear();
   clients_.clear();
   server_flows_.clear();
+  fragments_.clear();
 }
 
 void Host::receive(wire::Packet pkt, NodeId /*from*/) {
@@ -311,10 +307,9 @@ void Host::receive(wire::Packet pkt, NodeId /*from*/) {
   if (pkt.ip.dst != addr()) return;  // not ours (host does not forward)
 
   if (pkt.ip.is_fragment()) {
-    auto whole = reassembler_.push(std::move(pkt), net().now());
-    reassembler_.expire(net().now());
-    if (!whole) return;
-    pkt = std::move(*whole);
+    wire::FragmentPush pushed = fragments_.push(std::move(pkt), net().now());
+    if (!pushed.complete()) return;
+    pkt = wire::reassemble(pushed.fragments);
     record(pkt, /*outbound=*/false);  // record the reassembled datagram too
   }
 

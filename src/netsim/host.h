@@ -200,7 +200,8 @@ class Host : public Node {
   TcpClient& connect(util::Ipv4Addr dst, std::uint16_t dst_port,
                      TcpClientOptions opts = {});
 
-  /// Drops captures, finished client connections, and server flow state.
+  /// Drops captures, finished client connections, server flow state, and
+  /// partly reassembled inbound datagrams.
   /// Bulk testers (domain sweeps, reliability runs) call this between
   /// trials to keep memory flat; references returned by connect() become
   /// invalid.
@@ -214,11 +215,6 @@ class Host : public Node {
   /// mainstream OS).
   bool rst_on_closed_port = true;
   std::uint8_t default_ttl = 64;
-
-  /// Inbound fragment reassembly config (default Linux-like: 64-fragment
-  /// queue, ignore-duplicates, 30 s). Endpoint OS diversity in the national
-  /// scan perturbs this.
-  void set_reassembly(wire::ReassemblyConfig cfg);
 
   std::uint16_t next_ip_id() { return ip_id_++; }
 
@@ -287,7 +283,8 @@ class Host : public Node {
   util::FlatMap<std::uint16_t, UdpHandler> udp_handlers_;
   util::FlatMap<FlowKey, ServerFlow> server_flows_;
   util::FlatMap<FlowKey, std::unique_ptr<TcpClient>> clients_;
-  wire::Reassembler reassembler_;
+  /// Inbound reassembly queues under the Linux preset.
+  wire::FragmentTable fragments_{wire::linux_like_reassembly()};
   std::uint16_t ip_id_ = 1;
   std::uint32_t next_iss_ = 1u << 20;
 

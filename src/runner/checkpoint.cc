@@ -11,7 +11,7 @@ namespace {
 // 'TCKP' — TSPU checkpoint. Little-endian on the wire like every
 // StateWriter integer.
 constexpr std::uint32_t kMagic = 0x504b4354u;
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 // SIGTERM latch. sig_atomic_t + volatile is the only state a strictly
 // conforming handler may touch; the wave barrier polls it, so the handler
@@ -35,6 +35,7 @@ void reset_sigterm_for_testing() { g_sigterm_latch = 0; }
 const char* const kCheckpointCodecRegistry[] = {
     // Stateful cursors captured by a codec:
     "reseed",                   // core::Device rng/fault runtime -> Device::save_state
+                                // (fragment tables: wire::FragmentTable codec)
     "reseed_eviction",          // ConnTracker/FragmentEngine evict RNG lanes
     "reset_protocol_counters",  // netsim::Host::protocol_counters() packing
     "reset_dns_query_ids",      // ispdpi::dns_query_id_cursor()
@@ -45,7 +46,7 @@ const char* const kCheckpointCodecRegistry[] = {
     "reseed_stochastic",        // topo fan-out root (splitmix64 of item seed)
     "reseed_fault_rngs",        // per-link fault streams (fault_stream_seed)
     // Reset to empty per item; capture/flow buffers never cross items:
-    "reset_traffic_state",      // netsim::Host captures/flows/reassembly
+    "reset_traffic_state",      // netsim::Host captures/flows/fragment table
 };
 const std::size_t kCheckpointCodecRegistrySize =
     sizeof(kCheckpointCodecRegistry) / sizeof(kCheckpointCodecRegistry[0]);

@@ -149,8 +149,6 @@ Device::Device(std::string name, PolicyPtr policy, DeviceConfig config)
       config_(config),
       conntrack_(config.conn_timeouts, config.block_timeouts,
                  config.capabilities.strict_role_inference),
-      frag_engine_(config.frag),
-      inspect_reasm_(wire::ReassemblyConfig{}),
       rng_(config.seed),
       reseed_seed_(config.seed) {
   conntrack_.set_budget(config_.conn_budget, config_.overload);
@@ -194,8 +192,8 @@ void Device::reseed(std::uint64_t seed) {
 void Device::wipe_state() {
   conntrack_ = ConnTracker(config_.conn_timeouts, config_.block_timeouts,
                            config_.capabilities.strict_role_inference);
-  frag_engine_ = FragmentEngine(config_.frag);
-  inspect_reasm_ = wire::Reassembler(wire::ReassemblyConfig{});
+  frag_engine_ = FragmentEngine();
+  inspect_frags_.clear();
   // A reboot loses flow state, not provisioning: budgets survive, and the
   // eviction streams restart on a per-reboot generation of the item seed.
   conntrack_.set_budget(config_.conn_budget, config_.overload);
@@ -232,7 +230,7 @@ void Device::save_state(util::StateWriter& w) const {
   w.u64(reseed_seed_);
   conntrack_.save_state(w);
   frag_engine_.save_state(w);
-  inspect_reasm_.save_state(w);
+  inspect_frags_.save_state(w);
 }
 
 bool Device::load_state(util::StateReader& r) {
@@ -266,7 +264,7 @@ bool Device::load_state(util::StateReader& r) {
   }
   if (!rng_.set_state(lanes)) return false;
   if (!conntrack_.load_state(r) || !frag_engine_.load_state(r) ||
-      !inspect_reasm_.load_state(r)) {
+      !inspect_frags_.load_state(r)) {
     return false;
   }
   stats_ = stats;
@@ -445,10 +443,10 @@ void Device::handle_fragment(wire::Packet pkt, bool upstream) {
   // a ClientHello evades SNI censorship (§8). A patched device additionally
   // rebuilds a copy for inspection.
   if (config_.capabilities.ip_defragment_inspect) {
-    if (auto whole = inspect_reasm_.push(pkt, net().now())) {
-      inspect_reassembled(*whole, upstream);
+    wire::FragmentPush copy = inspect_frags_.push(pkt, net().now());
+    if (copy.complete()) {
+      inspect_reassembled(wire::reassemble(copy.fragments), upstream);
     }
-    inspect_reasm_.expire(net().now());
   }
   bool rejected = false;
   std::vector<wire::Packet> out =

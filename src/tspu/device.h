@@ -85,7 +85,6 @@ struct DeviceConfig {
   FailureRates failures;
   ConntrackTimeouts conn_timeouts;
   BlockingTimeouts block_timeouts;
-  FragmentTimeouts frag;
   DeviceCapabilities capabilities;
   /// SNI-III policing rate: "around 600-700 bytes per second" (§5.2).
   double throttle_bytes_per_sec = 650.0;
@@ -161,7 +160,7 @@ class Device : public netsim::Middlebox {
   /// Checkpoint serialization of everything reseed()/process() mutates:
   /// stats, the failure-draw RNG, fault-plan runtime (epoch, applied
   /// reboots, flap latch), the last reseed seed, and the nested conntrack /
-  /// fragment-engine / inspection-reassembler state. Config and policy are
+  /// fragment-engine / inspection fragment-table state. Config and policy are
   /// construction state and stay out of the snapshot.
   void save_state(util::StateWriter& w) const;
 
@@ -199,8 +198,8 @@ class Device : public netsim::Middlebox {
   /// Disposes of a packet whose state-table admission was REJECTED:
   /// fail-open forwards it uninspected, fail-closed drops it.
   void overload_action(wire::Packet pkt, bool upstream);
-  /// The mid-flow reboot: wipes conntrack, fragment queues, and the
-  /// inspection reassembler — everything a §4 flag-sequence probe can see.
+  /// The mid-flow reboot: wipes conntrack and both fragment tables —
+  /// everything a §4 flag-sequence probe can see.
   void wipe_state();
 
   void forward(wire::Packet pkt, bool upstream);
@@ -210,9 +209,10 @@ class Device : public netsim::Middlebox {
   DeviceConfig config_;
   ConnTracker conntrack_;
   FragmentEngine frag_engine_;
-  /// Parallel inspection-only reassembly (ip_defragment_inspect); queues
-  /// are keyed by (src, dst, IPID) so both directions share one instance.
-  wire::Reassembler inspect_reasm_;
+  /// Parallel inspection-only reassembly (ip_defragment_inspect) under the
+  /// Linux preset; queues are keyed by (src, dst, IPID) so both directions
+  /// share one table.
+  wire::FragmentTable inspect_frags_{wire::linux_like_reassembly()};
   util::Rng rng_;
   DeviceStats stats_;
   /// Fault-plan runtime: windows/reboots are offsets from this epoch.

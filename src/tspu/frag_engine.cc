@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <iterator>
 #include <utility>
 
 #include "obs/obs.h"
@@ -25,26 +24,28 @@ void FragmentEngine::set_budget(TableBudget budget, OverloadPolicy overload) {
   overload_state_.reset();
 }
 
-void FragmentEngine::note_occupancy(util::Instant now) {
+void FragmentEngine::note_occupancy(util::Instant now,
+                                    std::size_t held_entries,
+                                    std::size_t held_bytes) {
   // Gated on bounded(): an unbounded engine keeps its obs output
   // byte-identical to the pre-budget device.
   if (!budget_.bounded()) return;
   // Reconcile lazy expiry before reading occupancy: queues past the timeout
   // but not yet swept must not inflate the gauge or latch overload.enter on
-  // dead state. Recursion bottoms out — expire() recomputes oldest_started_
-  // over survivors, so its own note_occupancy call sees no expired queue.
-  if (oldest_started_ && now - *oldest_started_ > cfg_.queue_timeout) {
-    expire(now);
-  }
+  // dead state. Recursion bottoms out — the sweep recomputes the oldest
+  // start over survivors, so its own note_occupancy call sees none due.
+  if (table_.expiry_due(now)) expire(now);
+  const std::size_t entries = table_.pending_queues() + held_entries;
   if (obs::Recorder* rec = obs::recorder()) {
     rec->metrics.gauge("tspu.frag.occupancy")
-        .set_max(static_cast<std::int64_t>(queues_.size()));
+        .set_max(static_cast<std::int64_t>(entries));
     rec->metrics.gauge("tspu.frag.buffered_bytes")
-        .set_max(static_cast<std::int64_t>(buffered_bytes_));
+        .set_max(static_cast<std::int64_t>(table_.buffered_bytes() +
+                                           held_bytes));
   }
-  if (overload_state_.update(queues_.size(), budget_.max_entries, overload_)) {
-    const std::string detail = std::to_string(queues_.size()) + "/" +
-                               std::to_string(budget_.max_entries);
+  if (overload_state_.update(entries, budget_.max_entries, overload_)) {
+    const std::string detail =
+        std::to_string(entries) + "/" + std::to_string(budget_.max_entries);
     if (overload_state_.overloaded()) {
       TSPU_OBS_COUNT("tspu.frag.overload.enter");
       if (obs::tracing()) {
@@ -60,35 +61,28 @@ void FragmentEngine::note_occupancy(util::Instant now) {
 }
 
 void FragmentEngine::evict_one(util::Instant now, const char* reason) {
-  auto victim = queues_.begin();
-  if (budget_.policy == EvictionPolicy::kEvictRandom) {
-    std::advance(victim, static_cast<std::ptrdiff_t>(evict_rng_.next() %
-                                                     queues_.size()));
-  } else {
-    for (auto it = std::next(queues_.begin()); it != queues_.end(); ++it) {
-      if (it->second.started < victim->second.started) victim = it;
-    }
-  }
-  buffered_bytes_ -= victim->second.bytes;
+  const wire::FragmentKey victim =
+      budget_.policy == EvictionPolicy::kEvictRandom
+          ? table_.evict_nth(static_cast<std::size_t>(
+                evict_rng_.next() % table_.pending_queues()))
+          : table_.evict_oldest();
   ++stats_.queues_evicted;
   TSPU_OBS_COUNT("tspu.frag.evicted");
   if (obs::tracing()) {
     obs::trace_event(obs::Layer::kFrag, "frag.evict", now,
-                     frag_flow_str(victim->first), reason);
+                     frag_flow_str(victim), reason);
   }
-  queues_.erase(victim);
   // Shrink re-checks the hysteresis band: an eviction can carry occupancy
   // through exit_fraction, and without this the latch only ever re-evaluated
   // on admission — a shrink-only workload stayed "overloaded" forever.
   note_occupancy(now);
 }
-
 bool FragmentEngine::make_room(util::Instant now, bool new_queue,
                                std::size_t add_bytes) {
   const bool over_entries = new_queue && budget_.max_entries != 0 &&
-                            queues_.size() >= budget_.max_entries;
+                            table_.pending_queues() >= budget_.max_entries;
   const bool over_bytes = budget_.max_bytes != 0 &&
-                          buffered_bytes_ + add_bytes > budget_.max_bytes;
+                          table_.buffered_bytes() + add_bytes > budget_.max_bytes;
   if (!over_entries && !over_bytes &&
       !(budget_.policy == EvictionPolicy::kRejectNew && new_queue &&
         overload_state_.overloaded())) {
@@ -100,10 +94,10 @@ bool FragmentEngine::make_room(util::Instant now, bool new_queue,
     const bool still_over_entries =
         new_queue && budget_.max_entries != 0 &&
         (overload_state_.overloaded() ||
-         queues_.size() >= budget_.max_entries);
+         table_.pending_queues() >= budget_.max_entries);
     const bool still_over_bytes =
         budget_.max_bytes != 0 &&
-        buffered_bytes_ + add_bytes > budget_.max_bytes;
+        table_.buffered_bytes() + add_bytes > budget_.max_bytes;
     if (still_over_entries || still_over_bytes) {
       ++stats_.fragments_rejected;
       TSPU_OBS_COUNT("tspu.frag.rejected");
@@ -116,16 +110,16 @@ bool FragmentEngine::make_room(util::Instant now, bool new_queue,
     return true;
   }
   if (new_queue && budget_.max_entries != 0) {
-    while (queues_.size() >= budget_.max_entries) {
+    while (table_.pending_queues() >= budget_.max_entries) {
       evict_one(now, "entry-budget");
     }
   }
   if (budget_.max_bytes != 0) {
-    while (buffered_bytes_ + add_bytes > budget_.max_bytes &&
-           !queues_.empty()) {
+    while (table_.buffered_bytes() + add_bytes > budget_.max_bytes &&
+           table_.pending_queues() != 0) {
       evict_one(now, "byte-budget");
     }
-    if (buffered_bytes_ + add_bytes > budget_.max_bytes) {
+    if (table_.buffered_bytes() + add_bytes > budget_.max_bytes) {
       // A single fragment larger than the whole byte budget: reject it —
       // occupancy may never exceed the budget, whatever the policy.
       ++stats_.fragments_rejected;
@@ -142,98 +136,60 @@ bool FragmentEngine::make_room(util::Instant now, bool new_queue,
 }
 
 void FragmentEngine::audit(util::Instant now) const {
-  // Bounded rotating sweep, mirroring ConnTracker::audit: per-event cost
-  // stays O(1) amortized even when a scan keeps many queues in flight.
-  constexpr std::size_t kAuditSlice = 8;
   // Budget invariants: admission control precedes every buffer, and every
   // erase path returns its bytes, so occupancy never exceeds the budget
   // after any sim event.
   if (budget_.max_entries != 0) {
-    TSPU_AUDIT(queues_.size() <= budget_.max_entries,
+    TSPU_AUDIT(table_.pending_queues() <= budget_.max_entries,
                "fragment queue count exceeds the entry budget");
   }
   if (budget_.max_bytes != 0) {
-    TSPU_AUDIT(buffered_bytes_ <= budget_.max_bytes,
+    TSPU_AUDIT(table_.buffered_bytes() <= budget_.max_bytes,
                "buffered fragment bytes exceed the byte budget");
   }
-  auto it = queues_.lower_bound(audit_cursor_);
-  for (std::size_t n = 0; n < kAuditSlice && !queues_.empty(); ++n) {
-    if (it == queues_.end()) it = queues_.begin();
-    const auto& [key, q] = *it;
-    ++it;
-    // §5.3.1: the 46th fragment discards the queue, so a surviving queue can
-    // never hold more than max_fragments (45) entries.
-    TSPU_AUDIT(q.fragments.size() <= cfg_.max_fragments,
-               "fragment queue exceeds the paper's 45-fragment limit");
-    TSPU_AUDIT(q.ranges.size() == q.fragments.size(),
-               "range bookkeeping out of sync with buffered fragments");
-    TSPU_AUDIT(q.started <= now, "fragment queue started in the future");
-    std::size_t queue_bytes = 0;
-    for (const wire::Packet& p : q.fragments) queue_bytes += p.payload.size();
-    TSPU_AUDIT(queue_bytes == q.bytes,
-               "per-queue byte accounting out of sync with fragments");
-    auto sorted = q.ranges;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-      TSPU_AUDIT(sorted[i].second <= sorted[i + 1].first,
-                 "overlapping fragments survived in a queue");
-    }
-    if (q.saw_last) {
-      for (const auto& range : sorted) {
-        TSPU_AUDIT(range.second <= q.total_len,
-                   "fragment extends past the datagram's total length");
-      }
-    }
-  }
-  audit_cursor_ = it == queues_.end() ? wire::FragmentKey{} : it->first;
+  table_.audit(now, audit_cursor_);
 }
 
 void FragmentEngine::expire(util::Instant now) {
-  oldest_started_.reset();
-  bool erased = false;
-  for (auto it = queues_.begin(); it != queues_.end();) {
-    if (now - it->second.started > cfg_.queue_timeout) {
-      ++stats_.queues_discarded_timeout;
-      TSPU_OBS_COUNT("tspu.frag.discard.timeout");
-      if (obs::tracing()) {
-        obs::trace_event(obs::Layer::kFrag, "frag.discard", now,
-                         frag_flow_str(it->first), "age");
-      }
-      buffered_bytes_ -= it->second.bytes;
-      it = queues_.erase(it);
-      erased = true;
-    } else {
-      if (!oldest_started_ || it->second.started < *oldest_started_) {
-        oldest_started_ = it->second.started;
-      }
-      ++it;
-    }
-  }
-  if (erased) note_occupancy(now);
+  const std::size_t dropped =
+      table_.expire(now, [&](const wire::FragmentKey& key) {
+        ++stats_.queues_discarded_timeout;
+        TSPU_OBS_COUNT("tspu.frag.discard.timeout");
+        if (obs::tracing()) {
+          obs::trace_event(obs::Layer::kFrag, "frag.discard", now,
+                           frag_flow_str(key), "age");
+        }
+      });
+  if (dropped != 0) note_occupancy(now);
 }
 
-bool FragmentEngine::complete(const Queue& q) const {
-  if (!q.saw_last) return false;
-  auto ranges = q.ranges;
-  std::sort(ranges.begin(), ranges.end());
-  std::uint32_t cursor = 0;
-  for (const auto& [lo, hi] : ranges) {
-    if (lo != cursor) return false;
-    cursor = hi;
+void FragmentEngine::note_discard(const wire::FragmentKey& key,
+                                  util::Instant now,
+                                  wire::DiscardReason reason) {
+  // Duplicate or overlapping fragments poison the whole queue (§5.3.1),
+  // unlike RFC 5722's "ignore and keep" — one of the fingerprints that tell
+  // the TSPU from other stacks (§7.2). The count-limit reason is the 46th
+  // fragment; overlong is a datagram geometry no completion can satisfy.
+  const char* name = "overlap";
+  switch (reason) {
+    case wire::DiscardReason::kOverlap:
+      ++stats_.queues_discarded_overlap;
+      TSPU_OBS_COUNT("tspu.frag.discard.overlap");
+      break;
+    case wire::DiscardReason::kCountLimit:
+      name = "count-limit";
+      ++stats_.queues_discarded_limit;
+      TSPU_OBS_COUNT("tspu.frag.discard.limit");
+      break;
+    case wire::DiscardReason::kOverlong:
+      name = "overlong";
+      ++stats_.queues_discarded_overlong;
+      TSPU_OBS_COUNT("tspu.frag.discard.overlong");
+      break;
   }
-  return cursor == q.total_len;
-}
-
-void FragmentEngine::discard(const wire::FragmentKey& key, util::Instant now,
-                             const char* reason, std::uint64_t& stat) {
-  if (auto it = queues_.find(key); it != queues_.end()) {
-    buffered_bytes_ -= it->second.bytes;
-    queues_.erase(it);
-  }
-  ++stat;
   if (obs::tracing()) {
     obs::trace_event(obs::Layer::kFrag, "frag.discard", now,
-                     frag_flow_str(key), reason);
+                     frag_flow_str(key), name);
   }
   note_occupancy(now);
 }
@@ -241,19 +197,13 @@ void FragmentEngine::discard(const wire::FragmentKey& key, util::Instant now,
 std::vector<wire::Packet> FragmentEngine::push(wire::Packet frag,
                                                util::Instant now,
                                                bool* rejected) {
-  // Lazy expiry: sweep only when the oldest queue has actually timed out.
-  // The oldest queue times out no later than any other, so the sweep runs
-  // at exactly the first push at which the eager per-push sweep would have
-  // discarded anything — discard counts and timing are identical, but a
-  // burst of N fragments costs O(N) instead of O(N x queues).
-  if (oldest_started_ && now - *oldest_started_ > cfg_.queue_timeout) {
-    expire(now);
-  }
+  // Sweep here rather than inside the table's push so the timeout discards
+  // are counted and traced, and land before admission control.
+  if (table_.expiry_due(now)) expire(now);
 
   const wire::FragmentKey key = wire::fragment_key(frag.ip);
   if (budget_.bounded() &&
-      !make_room(now, queues_.find(key) == queues_.end(),
-                 frag.payload.size())) {
+      !make_room(now, !table_.contains(key), frag.payload.size())) {
     // Admission refused: hand the fragment back to the device so the
     // overload policy (fail-open forward / fail-closed drop) decides.
     if (rejected != nullptr) *rejected = true;
@@ -261,79 +211,44 @@ std::vector<wire::Packet> FragmentEngine::push(wire::Packet frag,
     back.push_back(std::move(frag));
     return back;
   }
-  Queue& q = queues_[key];
-  if (q.fragments.empty()) {
-    q.started = now;
-    if (!oldest_started_ || now < *oldest_started_) oldest_started_ = now;
-  }
-
-  const std::uint32_t off = frag.ip.frag_offset;
-  const std::uint32_t end =
-      off + static_cast<std::uint32_t>(frag.payload.size());
-
-  // Duplicate or overlapping fragment poisons the whole queue (§5.3.1) —
-  // unlike RFC 5722's "ignore and keep" recommendation, which is one of the
-  // fingerprints distinguishing the TSPU from other stacks (§7.2).
-  if (wire::overlaps_any(q.ranges, off, end)) {
-    discard(key, now, "overlap", stats_.queues_discarded_overlap);
-    TSPU_OBS_COUNT("tspu.frag.discard.overlap");
+  wire::FragmentPush result = table_.push(std::move(frag), now);
+  if (result.kind == wire::FragmentPush::Kind::kDiscarded) {
+    note_discard(key, now, result.reason);
     return {};
   }
-
-  // 46th fragment discards everything, 45 is accepted (§5.3.1). This is the
-  // per-queue count limit of the budget accounting; the trace reason
-  // distinguishes it from age and byte-budget discards.
-  if (q.fragments.size() + 1 > cfg_.max_fragments) {
-    discard(key, now, "count-limit", stats_.queues_discarded_limit);
-    TSPU_OBS_COUNT("tspu.frag.discard.limit");
-    return {};
-  }
-
-  // A fragment extending past an already-announced total length — or a
-  // "last" fragment whose end undercuts data already buffered — makes the
-  // datagram geometry unsatisfiable. Poison-on-ambiguity, like overlaps:
-  // previously this inconsistency only tripped a Debug TSPU_AUDIT while the
-  // broken queue silently survived in Release.
-  const bool overlong_tail = q.saw_last && end > q.total_len;
-  const bool shrinking_last =
-      !frag.ip.more_fragments &&
-      std::any_of(q.ranges.begin(), q.ranges.end(),
-                  [end](const auto& r) { return r.second > end; });
-  if (overlong_tail || shrinking_last) {
-    discard(key, now, "overlong", stats_.queues_discarded_overlong);
-    TSPU_OBS_COUNT("tspu.frag.discard.overlong");
-    return {};
-  }
-
-  if (frag.ip.is_first_fragment()) q.first_ttl = frag.ip.ttl;
-  if (!frag.ip.more_fragments) {
-    q.saw_last = true;
-    q.total_len = end;
-  }
-  q.ranges.emplace_back(off, end);
-  q.bytes += frag.payload.size();
-  buffered_bytes_ += frag.payload.size();
-  q.fragments.push_back(std::move(frag));
+  // The TSPU preset discards on overlap, so nothing is ever ignored.
+  TSPU_DCHECK(result.kind != wire::FragmentPush::Kind::kIgnored,
+              "the TSPU never ignores an overlapping fragment");
   ++stats_.fragments_buffered;
   TSPU_OBS_COUNT("tspu.frag.buffered");
-  // Publish on EVERY byte-accounted mutation, not just the push that creates
-  // a fresh queue: fragments appended to an existing queue grow
-  // buffered_bytes_ too, and gating on size()==1 under-reported byte-budget
-  // growth (and starved the latch of byte-driven occupancy changes).
-  note_occupancy(now);
-
-  if (!complete(q)) {
+  if (!result.complete()) {
+    // Publish on EVERY byte-accounted mutation, not just the push that
+    // creates a fresh queue: fragments appended to an existing queue grow
+    // the buffered bytes too.
+    note_occupancy(now);
     if constexpr (util::kAuditEnabled) audit(now);
     return {};
   }
 
   // Release: forward every buffered fragment individually, all carrying the
-  // first fragment's arrival TTL (Figure 3).
-  std::vector<wire::Packet> out = std::move(q.fragments);
-  const std::uint8_t ttl = q.first_ttl.value_or(out.front().ip.ttl);
-  for (wire::Packet& p : out) p.ip.ttl = ttl;
-  buffered_bytes_ -= q.bytes;
-  queues_.erase(key);
+  // TTL the offset-0 fragment arrived with (Figure 3). A complete queue
+  // always holds one; should an empty fragment share offset 0, the later
+  // arrival counts.
+  std::vector<wire::Packet> out = std::move(result.fragments);
+  const auto first =
+      std::find_if(out.rbegin(), out.rend(), [](const wire::Packet& p) {
+        return p.ip.is_first_fragment();
+      });
+  TSPU_CHECK(first != out.rend(), "a complete queue holds offset 0");
+  const std::uint8_t ttl = first->ip.ttl;
+  std::size_t released_bytes = 0;
+  for (wire::Packet& p : out) {
+    p.ip.ttl = ttl;
+    released_bytes += p.payload.size();
+  }
+  // The released queue was occupancy up to this fragment: publish that
+  // peak first, then the table without it.
+  note_occupancy(now, 1, released_bytes);
   note_occupancy(now);
   ++stats_.queues_released;
   TSPU_OBS_COUNT("tspu.frag.released");
@@ -358,22 +273,7 @@ void FragmentEngine::save_state(util::StateWriter& w) const {
   w.u64(stats_.queues_discarded_overlong);
   w.u64(stats_.queues_evicted);
   w.u64(stats_.fragments_rejected);
-  w.u32(static_cast<std::uint32_t>(queues_.size()));
-  for (const auto& [key, q] : queues_) {
-    w.u32(key.src.value());
-    w.u32(key.dst.value());
-    w.u16(key.ip_id);
-    w.i64(q.started.as_micros());
-    w.boolean(q.first_ttl.has_value());
-    if (q.first_ttl) w.u8(*q.first_ttl);
-    w.boolean(q.saw_last);
-    w.u32(q.total_len);
-    w.u32(static_cast<std::uint32_t>(q.fragments.size()));
-    // Member scope hides the namespace-level packet codec; qualify.
-    for (const wire::Packet& p : q.fragments) ::tspu::wire::save_state(p, w);
-  }
-  w.boolean(oldest_started_.has_value());
-  if (oldest_started_) w.i64(oldest_started_->as_micros());
+  table_.save_state(w);
   w.boolean(overload_state_.overloaded());
   for (std::uint64_t lane : evict_rng_.state()) w.u64(lane);
 }
@@ -388,57 +288,8 @@ bool FragmentEngine::load_state(util::StateReader& r) {
       !r.u64(stats.queues_evicted) || !r.u64(stats.fragments_rejected)) {
     return false;
   }
-  std::uint32_t count = 0;
-  if (!r.u32(count)) return false;
-  std::map<wire::FragmentKey, Queue> loaded;
-  std::size_t total_bytes = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t src = 0;
-    std::uint32_t dst = 0;
-    std::uint16_t ip_id = 0;
-    if (!r.u32(src) || !r.u32(dst) || !r.u16(ip_id)) return false;
-    Queue q;
-    std::int64_t started_us = 0;
-    bool has_ttl = false;
-    if (!r.i64(started_us) || !r.boolean(has_ttl)) return false;
-    q.started = util::Instant::from_micros(started_us);
-    if (has_ttl) {
-      std::uint8_t ttl = 0;
-      if (!r.u8(ttl)) return false;
-      q.first_ttl = ttl;
-    }
-    std::uint32_t frags = 0;
-    if (!r.boolean(q.saw_last) || !r.u32(q.total_len) || !r.u32(frags)) {
-      return false;
-    }
-    if (frags > cfg_.max_fragments) return false;
-    q.fragments.reserve(frags);
-    q.ranges.reserve(frags);
-    for (std::uint32_t f = 0; f < frags; ++f) {
-      wire::Packet pkt;
-      if (!::tspu::wire::load_state(pkt, r)) return false;
-      // Ranges and byte accounting derive from the fragments; rebuilding
-      // them here keeps the snapshot minimal and untrusted input honest.
-      const std::uint32_t off = pkt.ip.frag_offset;
-      const std::uint32_t end =
-          off + static_cast<std::uint32_t>(pkt.payload.size());
-      q.ranges.emplace_back(off, end);
-      q.bytes += pkt.payload.size();
-      q.fragments.push_back(std::move(pkt));
-    }
-    total_bytes += q.bytes;
-    const wire::FragmentKey key{util::Ipv4Addr(src), util::Ipv4Addr(dst),
-                                ip_id};
-    if (!loaded.emplace(key, std::move(q)).second) return false;
-  }
-  bool has_oldest = false;
-  if (!r.boolean(has_oldest)) return false;
-  std::optional<util::Instant> oldest;
-  if (has_oldest) {
-    std::int64_t oldest_us = 0;
-    if (!r.i64(oldest_us)) return false;
-    oldest = util::Instant::from_micros(oldest_us);
-  }
+  wire::FragmentTable table{wire::tspu_fragment_policy()};
+  if (!table.load_state(r)) return false;
   bool latched = false;
   if (!r.boolean(latched)) return false;
   std::array<std::uint64_t, 4> lanes{};
@@ -447,9 +298,7 @@ bool FragmentEngine::load_state(util::StateReader& r) {
   }
   if (!evict_rng_.set_state(lanes)) return false;
   stats_ = stats;
-  queues_ = std::move(loaded);
-  buffered_bytes_ = total_bytes;
-  oldest_started_ = oldest;
+  table_ = std::move(table);
   overload_state_.restore(latched);
   audit_cursor_ = wire::FragmentKey{};
   return true;

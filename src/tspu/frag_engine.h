@@ -9,12 +9,9 @@
 //  * queue incomplete after ~5 seconds  -> whole queue discarded
 #pragma once
 
-#include <map>
-#include <optional>
 #include <vector>
 
 #include "tspu/budget.h"
-#include "tspu/timeouts.h"
 #include "util/rng.h"
 #include "util/time.h"
 #include "wire/fragment.h"
@@ -39,10 +36,11 @@ struct FragEngineStats {
   std::uint64_t fragments_rejected = 0;  ///< fragments refused admission
 };
 
+/// The TSPU layer over a wire::FragmentTable running the TSPU preset:
+/// capacity budget, eviction and overload latch, the tspu.frag.* counters
+/// and traces, the stats, and the release step's TTL rewrite.
 class FragmentEngine {
  public:
-  explicit FragmentEngine(FragmentTimeouts cfg) : cfg_(cfg) {}
-
   /// Installs (or replaces) the capacity budget and overload hysteresis
   /// band: max_entries caps in-flight queues, max_bytes the total buffered
   /// fragment payload. Defined out-of-line so the budget/gauge pairing is
@@ -68,27 +66,23 @@ class FragmentEngine {
   std::vector<wire::Packet> push(wire::Packet frag, util::Instant now,
                                  bool* rejected = nullptr);
 
-  /// Discards queues older than the 5-second limit. push() arranges to call
-  /// this lazily — exactly when some queue has actually timed out — instead
-  /// of sweeping every queue on every fragment, which made fragmentation
-  /// scans quadratic in in-flight queues. Explicit calls still sweep fully.
+  /// Discards queues older than the 5-second limit. push() runs this
+  /// lazily, exactly when some queue has actually timed out; explicit calls
+  /// sweep fully.
   void expire(util::Instant now);
 
-  /// TSPU_AUDIT sweep (debug builds): every queue holds at most the paper's
-  /// 45-fragment limit, ranges mirror the buffered fragments with no
-  /// overlaps, and no queue started in the future.
+  /// TSPU_AUDIT sweep (debug builds): the budget holds, and the table's
+  /// own sweep (45-fragment limit, disjoint ranges, no future start).
   void audit(util::Instant now) const;
 
-  std::size_t pending_queues() const { return queues_.size(); }
+  std::size_t pending_queues() const { return table_.pending_queues(); }
   /// Total buffered fragment payload bytes — what max_bytes polices.
-  std::size_t buffered_bytes() const { return buffered_bytes_; }
+  std::size_t buffered_bytes() const { return table_.buffered_bytes(); }
   const FragEngineStats& stats() const { return stats_; }
 
-  /// Checkpoint serialization: stats, every pending queue, the overload
-  /// latch, and the eviction RNG cursor. Timeout/budget config excluded
-  /// (replica construction owns it). Per-queue ranges/byte counts are
-  /// derived from the fragments, so they are recomputed on load rather
-  /// than trusted from the wire.
+  /// Checkpoint serialization: stats, the table's queues, the overload
+  /// latch, and the eviction RNG cursor. Budget config is excluded (replica
+  /// construction owns it).
   void save_state(util::StateWriter& w) const;
 
   /// Replaces the engine's runtime state with a saved one; false on
@@ -96,43 +90,28 @@ class FragmentEngine {
   bool load_state(util::StateReader& r);
 
  private:
-  struct Queue {
-    std::vector<wire::Packet> fragments;  // arrival order
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
-    util::Instant started;
-    std::optional<std::uint8_t> first_ttl;  ///< TTL of the offset-0 fragment
-    bool saw_last = false;
-    std::uint32_t total_len = 0;
-    std::size_t bytes = 0;  ///< buffered payload bytes (budget accounting)
-  };
-
-  bool complete(const Queue& q) const;
-  void discard(const wire::FragmentKey& key, util::Instant now,
-               const char* reason, std::uint64_t& stat);
+  /// Counts and traces a queue the table dropped.
+  void note_discard(const wire::FragmentKey& key, util::Instant now,
+                    wire::DiscardReason reason);
   /// Admission control before buffering: sweeps timed-out queues, then at
   /// capacity evicts whole queues per policy or rejects the fragment.
   bool make_room(util::Instant now, bool new_queue, std::size_t add_bytes);
   /// Evicts one whole queue (counted + traced with `reason`).
   void evict_one(util::Instant now, const char* reason);
-  /// Publishes the occupancy gauge and drives the overload latch.
-  void note_occupancy(util::Instant now);
+  /// Publishes the occupancy gauge and drives the overload latch. `held_*`
+  /// counts a queue that has just left the table on release but was
+  /// occupancy until then.
+  void note_occupancy(util::Instant now, std::size_t held_entries = 0,
+                      std::size_t held_bytes = 0);
 
-  FragmentTimeouts cfg_;
+  wire::FragmentTable table_{wire::tspu_fragment_policy()};
   FragEngineStats stats_;
   TableBudget budget_;
   OverloadPolicy overload_;
   OverloadState overload_state_;
   /// Eviction choices for kEvictRandom; reseeded per trial.
   util::Rng evict_rng_{0xf4a6ull};
-  std::size_t buffered_bytes_ = 0;
-  std::map<wire::FragmentKey, Queue> queues_;
-  /// Start time of the oldest queue at the last full sweep — the lazy-expiry
-  /// trigger. May be stale (pointing at an already-erased queue) after
-  /// release/discard, which only ever makes a sweep run EARLY; a sweep runs
-  /// no later than the first push at which any queue has timed out, because
-  /// the oldest queue times out no later than any other.
-  std::optional<util::Instant> oldest_started_;
-  /// Resume point for audit()'s bounded rotating sweep (Debug builds only).
+  /// Resume point for audit()'s rotating sweep (Debug builds only).
   mutable wire::FragmentKey audit_cursor_{};
 };
 

@@ -41,10 +41,4 @@ struct BlockingTimeouts {
   Duration quic = Duration::seconds(420);
 };
 
-/// §5.3.1: fragment-queue behavior constants.
-struct FragmentTimeouts {
-  Duration queue_timeout = Duration::seconds(5);
-  std::size_t max_fragments = 45;
-};
-
 }  // namespace tspu::core

@@ -1,7 +1,7 @@
 // Checkpoint/resume subsystem tests (runner/checkpoint.h + the codecs):
 //
 //  * encode -> decode -> encode byte-equality for every serializable struct
-//    (StateWriter primitives, Recorder, Packet, Reassembler, ConnTracker,
+//    (StateWriter primitives, Recorder, Packet, FragmentTable, ConnTracker,
 //    FragmentEngine, Device, ScanRecord);
 //  * strict snapshot-file validation: any single-byte corruption, any
 //    truncation, bad magic/version/checksum all read back as nullopt;
@@ -164,8 +164,8 @@ TEST(CodecRoundTrip, PacketByteEquality) {
 }
 
 TEST(CodecRoundTrip, ReassemblerByteEquality) {
-  wire::ReassemblyConfig cfg;
-  wire::Reassembler a(cfg);
+  const wire::FragmentPolicy cfg = wire::linux_like_reassembly();
+  wire::FragmentTable a(cfg);
   const util::Instant t0;
   // Two incomplete datagrams, one of them missing its head.
   const auto f1 = wire::fragment(frag_source_packet(120, 21), 40);
@@ -177,18 +177,25 @@ TEST(CodecRoundTrip, ReassemblerByteEquality) {
 
   util::StateWriter w1;
   a.save_state(w1);
-  wire::Reassembler b(cfg);
+  wire::FragmentTable b(cfg);
   util::StateReader r(w1.data());
   ASSERT_TRUE(b.load_state(r));
   EXPECT_TRUE(r.done());
   EXPECT_EQ(b.pending_queues(), 2u);
+  EXPECT_EQ(b.buffered_bytes(), a.buffered_bytes());
   util::StateWriter w2;
   b.save_state(w2);
   EXPECT_EQ(w1.data(), w2.data());
 
-  // The restored reassembler is functionally live: completing datagram 1
+  // The restored table is functionally live: completing datagram 1
   // releases it.
-  EXPECT_TRUE(b.push(f1[1], t0 + util::Duration::millis(9)).has_value());
+  EXPECT_TRUE(b.push(f1[1], t0 + util::Duration::millis(9)).complete());
+
+  // Garbage is refused wholesale, never partially applied.
+  wire::FragmentTable c(cfg);
+  util::StateReader bad(std::string_view(w1.data()).substr(0, w1.size() - 3));
+  EXPECT_FALSE(c.load_state(bad));
+  EXPECT_EQ(c.pending_queues(), 0u);
 }
 
 core::FlowKey flow_n(int i) {
@@ -261,13 +268,13 @@ TEST(CodecRoundTrip, FragmentEngineByteEquality) {
   core::TableBudget budget;
   budget.max_entries = 32;
   budget.max_bytes = 1 << 16;
-  core::FragmentEngine a{core::FragmentTimeouts{}};
+  core::FragmentEngine a;
   a.set_budget(budget, {});
   a.reseed_eviction(0x77ull);
 
   const util::Instant t0;
   // Incomplete queues: in-order head, out-of-order tail-first, TTL-probe
-  // shaped (distinct TTLs so first_ttl matters).
+  // shaped (distinct TTLs so the offset-0 fragment's TTL matters).
   auto f1 = wire::fragment(frag_source_packet(120, 31), 40);
   auto f2 = wire::fragment(frag_source_packet(120, 32), 40);
   f2[1].ip.ttl = 3;
@@ -280,7 +287,7 @@ TEST(CodecRoundTrip, FragmentEngineByteEquality) {
 
   util::StateWriter w1;
   a.save_state(w1);
-  core::FragmentEngine b{core::FragmentTimeouts{}};
+  core::FragmentEngine b;
   b.set_budget(budget, {});
   util::StateReader r(w1.data());
   ASSERT_TRUE(b.load_state(r));
@@ -297,7 +304,7 @@ TEST(CodecRoundTrip, FragmentEngineByteEquality) {
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].ip.ttl, 61);
 
-  core::FragmentEngine c{core::FragmentTimeouts{}};
+  core::FragmentEngine c;
   util::StateReader bad(std::string_view(w1.data()).substr(0, w1.size() - 3));
   EXPECT_FALSE(c.load_state(bad));
   EXPECT_EQ(c.pending_queues(), 0u);
@@ -691,7 +698,7 @@ TEST(OverloadRegression, ExpiredFragQueuesDoNotTriggerOverloadEnter) {
   obs::Recorder rec;
   obs::RecorderScope scope(rec);
 
-  core::FragmentEngine engine{core::FragmentTimeouts{}};
+  core::FragmentEngine engine;
   core::TableBudget budget;
   budget.max_entries = 8;
   core::OverloadPolicy policy;
@@ -755,7 +762,7 @@ TEST(OverloadRegression, FragHysteresisExitsOnExpiryAlone) {
   obs::Recorder rec;
   obs::RecorderScope scope(rec);
 
-  core::FragmentEngine engine{core::FragmentTimeouts{}};
+  core::FragmentEngine engine;
   core::TableBudget budget;
   budget.max_entries = 4;
   budget.policy = core::EvictionPolicy::kRejectNew;
@@ -786,7 +793,7 @@ TEST(OverloadRegression, FragByteGaugeTracksEveryBufferedFragment) {
   obs::Recorder rec;
   obs::RecorderScope scope(rec);
 
-  core::FragmentEngine engine{core::FragmentTimeouts{}};
+  core::FragmentEngine engine;
   core::TableBudget budget;
   budget.max_bytes = 1 << 16;
   engine.set_budget(budget, {});

@@ -184,7 +184,7 @@ TEST(FragmentBox, GateModeForwardsOriginalFragments) {
   BoxTopo t;
   t.net.insert_inline(t.r1, t.r2,
                       std::make_unique<ispdpi::FragmentInspectingBox>(
-                          "box", ispdpi::linux_like_reassembly(), false));
+                          "box", wire::linux_like_reassembly(), false));
   t.send_fragmented(4, 1);
   EXPECT_EQ(t.fragments_received(), 4);
   // The single "whole" in the capture is the receiving host's own
@@ -196,7 +196,7 @@ TEST(FragmentBox, ReassembleModeForwardsWholeDatagram) {
   BoxTopo t;
   t.net.insert_inline(t.r1, t.r2,
                       std::make_unique<ispdpi::FragmentInspectingBox>(
-                          "box", ispdpi::linux_like_reassembly(), true));
+                          "box", wire::linux_like_reassembly(), true));
   t.send_fragmented(4, 2);
   EXPECT_EQ(t.fragments_received(), 0);
   EXPECT_EQ(t.whole_received(), 1);
@@ -206,7 +206,7 @@ TEST(FragmentBox, CiscoLimitDropsLargeQueues) {
   BoxTopo t;
   t.net.insert_inline(t.r1, t.r2,
                       std::make_unique<ispdpi::FragmentInspectingBox>(
-                          "box", ispdpi::cisco_like_reassembly(), true));
+                          "box", wire::cisco_like_reassembly(), true));
   t.send_fragmented(24, 3);  // at the limit: passes
   EXPECT_EQ(t.whole_received(), 1);
   t.receiver->clear_captured();
@@ -220,7 +220,7 @@ TEST(FragmentBox, JuniperLimitAccepts46) {
   BoxTopo t;
   t.net.insert_inline(t.r1, t.r2,
                       std::make_unique<ispdpi::FragmentInspectingBox>(
-                          "box", ispdpi::juniper_like_reassembly(), true));
+                          "box", wire::juniper_like_reassembly(), true));
   t.send_fragmented(45, 5);
   t.send_fragmented(46, 6);
   EXPECT_EQ(t.whole_received(), 2);
@@ -230,7 +230,7 @@ TEST(FragmentBox, Rfc5722IgnoresDuplicates) {
   BoxTopo t;
   t.net.insert_inline(t.r1, t.r2,
                       std::make_unique<ispdpi::FragmentInspectingBox>(
-                          "box", ispdpi::linux_like_reassembly(), true));
+                          "box", wire::linux_like_reassembly(), true));
   wire::Ipv4Header ip;
   ip.src = t.sender->addr();
   ip.dst = t.receiver->addr();

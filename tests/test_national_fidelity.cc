@@ -144,7 +144,7 @@ TEST(FragConfound, ReassemblingBoxBeforeTspuHidesTheFingerprint) {
   // An ISP security box that reassembles fragments sits OUTSIDE (closer to
   // the prober than) the TSPU.
   net.insert_inline(r2, r1, std::make_unique<ispdpi::FragmentInspectingBox>(
-                                "security-box", ispdpi::linux_like_reassembly(),
+                                "security-box", wire::linux_like_reassembly(),
                                 /*forward_reassembled=*/true));
   net.insert_inline(r2, tid,
                     std::make_unique<core::Device>("tspu", policy));
@@ -187,7 +187,7 @@ TEST(FragConfound, CiscoBoxBeforeTspuLooksUnresponsive) {
   net.routes(r2).add(Ipv4Prefix(target->addr(), 32), tid);
 
   net.insert_inline(r1, r2, std::make_unique<ispdpi::FragmentInspectingBox>(
-                                "cisco-ish", ispdpi::cisco_like_reassembly(),
+                                "cisco-ish", wire::cisco_like_reassembly(),
                                 /*forward_reassembled=*/true));
   net.insert_inline(r2, tid,
                     std::make_unique<core::Device>("tspu", policy));

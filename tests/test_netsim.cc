@@ -353,6 +353,35 @@ TEST(HostFragments, InboundReassembly) {
   EXPECT_TRUE(got_synack);
 }
 
+TEST(HostFragments, ReusedIpIdAfterQuiesceIsDelivered) {
+  // The prober's IP ID restarts at 1 every trial, so a key can repeat
+  // across items. A datagram reusing the key of a stale, incomplete queue
+  // must still be delivered: its first fragment must not be dropped as a
+  // duplicate of the stale queue's.
+  LineTopo t;
+  int delivered = 0;
+  t.server->udp_listen(2000, [&delivered](Host&, Ipv4Addr,
+                                          const wire::UdpDatagram&) {
+    ++delivered;
+  });
+  wire::Ipv4Header ip;
+  ip.src = t.client->addr();
+  ip.dst = t.server->addr();
+  ip.id = 1;
+  const auto frags = wire::fragment(
+      wire::make_udp_packet(ip, {1000, 2000}, util::Bytes(120, 0x5a)), 48);
+  ASSERT_EQ(frags.size(), 3u);
+  t.client->send_packet(frags[0]);  // datagram left incomplete
+  t.client->send_packet(frags[1]);
+  t.net.sim().run_until_idle();
+  t.net.sim().run_for(Duration::seconds(1000));
+  t.server->reset_traffic_state();
+
+  for (const wire::Packet& f : frags) t.client->send_packet(f);
+  t.net.sim().run_until_idle();
+  EXPECT_EQ(delivered, 1);
+}
+
 TEST(HostCapture, LimitEnforced) {
   LineTopo t;
   t.server->set_capture_limit(2);

@@ -43,7 +43,7 @@ TEST_P(FragReleaseProperty, AnyArrivalOrderReleasesAllWithFirstTtl) {
   const std::uint8_t first_ttl = frags[0].ip.ttl;
   rng.shuffle(frags);
 
-  FragmentEngine engine{FragmentTimeouts{}};
+  FragmentEngine engine;
   std::vector<wire::Packet> released;
   for (std::size_t i = 0; i < frags.size(); ++i) {
     auto out = engine.push(frags[i], Instant{});
@@ -77,7 +77,7 @@ TEST_P(FragLimitBoundary, ReleasesIffAtMost45) {
   pkt.ip.id = static_cast<std::uint16_t>(k);
   pkt.payload.assign(static_cast<std::size_t>(k) * 8 + 8, 0x11);
 
-  FragmentEngine engine{FragmentTimeouts{}};
+  FragmentEngine engine;
   std::size_t released = 0;
   for (const auto& f : wire::fragment_into(pkt, k)) {
     released += engine.push(f, Instant{}).size();
@@ -144,6 +144,12 @@ struct TimeoutCase {
   int seconds;
   const char* name;
 };
+
+// Printed field by field so the case's test name does not carry the `name`
+// pointer, which moves with address-space randomisation and binary layout.
+void PrintTo(const TimeoutCase& c, std::ostream* os) {
+  *os << c.name << " timeout=" << c.seconds << "s";
+}
 
 class StateTimeoutMap : public ::testing::TestWithParam<TimeoutCase> {};
 

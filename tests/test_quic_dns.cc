@@ -1,6 +1,9 @@
 // Unit tests for QUIC (Figure 14 fingerprint) and the DNS codec.
 #include <gtest/gtest.h>
 
+#include <ios>
+#include <ostream>
+
 #include "dns/dns.h"
 #include "quic/quic.h"
 
@@ -48,6 +51,13 @@ struct FingerprintCase {
   bool fires;
   const char* name;
 };
+
+// Printed field by field so the case's test name does not carry the `name`
+// pointer, which moves with address-space randomisation and binary layout.
+void PrintTo(const FingerprintCase& c, std::ostream* os) {
+  *os << "size=" << c.size << " port=" << c.port << " version=0x" << std::hex
+      << c.version << std::dec << " fires=" << (c.fires ? "true" : "false");
+}
 
 class QuicFingerprint : public ::testing::TestWithParam<FingerprintCase> {};
 

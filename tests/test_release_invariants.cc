@@ -42,7 +42,7 @@ wire::Packet datagram(std::size_t size, std::uint16_t id) {
 // fragment and kept the queue alive. The engine now discard-queues in every
 // build mode, and the dedicated stats counter proves which path fired.
 TEST(ReleaseInvariants, OverlongTailFragmentDiscardsQueue) {
-  FragmentEngine engine{FragmentTimeouts{}};
+  FragmentEngine engine;
   const Instant now;
   auto frags = wire::fragment(datagram(120, 1), 40);
   ASSERT_EQ(frags.size(), 3u);
@@ -62,7 +62,7 @@ TEST(ReleaseInvariants, OverlongTailFragmentDiscardsQueue) {
 TEST(ReleaseInvariants, ShrinkingLastFragmentDiscardsQueue) {
   // The mirror ordering: a "last" fragment whose end undercuts data already
   // buffered beyond it claims a total length that contradicts the queue.
-  FragmentEngine engine{FragmentTimeouts{}};
+  FragmentEngine engine;
   const Instant now;
   auto frags = wire::fragment(datagram(120, 2), 40);
   ASSERT_EQ(frags.size(), 3u);
@@ -81,7 +81,7 @@ TEST(ReleaseInvariants, LazyExpiryFiresOnPushWithoutExplicitSweep) {
   // push() itself must honor the 5-second timeout: the sweep is lazy, but a
   // fragment arriving after some queue has timed out triggers it, so discard
   // timing is observably identical to the old every-push sweep.
-  FragmentEngine engine{FragmentTimeouts{}};
+  FragmentEngine engine;
   const Instant now;
   auto stale = wire::fragment(datagram(80, 3), 40);
   engine.push(stale[0], now);
@@ -100,7 +100,7 @@ TEST(ReleaseInvariants, FragmentBoundaryObservableViaObsCounters) {
   // instead of engine internals — the form the Release CI leg exercises.
   obs::Recorder rec;
   obs::RecorderScope scope(rec);
-  FragmentEngine engine{FragmentTimeouts{}};
+  FragmentEngine engine;
   const Instant now;
 
   for (const auto& f : wire::fragment_into(datagram(400, 5), 45)) {

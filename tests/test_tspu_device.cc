@@ -220,7 +220,7 @@ class FragEngineTest : public ::testing::Test {
     return pkt;
   }
 
-  FragmentEngine engine{FragmentTimeouts{}};
+  FragmentEngine engine;
   Instant now;
 };
 

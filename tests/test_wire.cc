@@ -2,6 +2,7 @@
 // checksums, and IP fragmentation mechanics.
 #include <gtest/gtest.h>
 
+#include "util/statecodec.h"
 #include "wire/checksum.h"
 #include "wire/fragment.h"
 #include "wire/icmp.h"
@@ -270,23 +271,24 @@ class ReassemblerTest : public ::testing::Test {
 };
 
 TEST_F(ReassemblerTest, ReassemblesOutOfOrder) {
-  Reassembler r{ReassemblyConfig{}};
+  FragmentTable r{linux_like_reassembly()};
   const Packet pkt = big_packet(120);
   auto frags = fragment(pkt, 40);
   std::swap(frags[0], frags[2]);  // deliver last first
-  EXPECT_FALSE(r.push(frags[0], now));
-  EXPECT_FALSE(r.push(frags[1], now));
-  auto whole = r.push(frags[2], now);
-  ASSERT_TRUE(whole);
-  EXPECT_EQ(whole->payload, pkt.payload);
-  EXPECT_FALSE(whole->ip.is_fragment());
+  EXPECT_FALSE(r.push(frags[0], now).complete());
+  EXPECT_FALSE(r.push(frags[1], now).complete());
+  FragmentPush out = r.push(frags[2], now);
+  ASSERT_TRUE(out.complete());
+  const Packet whole = reassemble(out.fragments);
+  EXPECT_EQ(whole.payload, pkt.payload);
+  EXPECT_FALSE(whole.ip.is_fragment());
   EXPECT_EQ(r.pending_queues(), 0u);
 }
 
 TEST_F(ReassemblerTest, EnforcesFragmentLimit) {
-  ReassemblyConfig cfg;
+  FragmentPolicy cfg = linux_like_reassembly();
   cfg.max_fragments = 3;
-  Reassembler r{cfg};
+  FragmentTable r{cfg};
   const auto frags = fragment(big_packet(160), 40);  // 4 fragments
   ASSERT_EQ(frags.size(), 4u);
   for (const auto& f : frags) r.push(f, now);
@@ -294,47 +296,125 @@ TEST_F(ReassemblerTest, EnforcesFragmentLimit) {
 }
 
 TEST_F(ReassemblerTest, IgnoreNewKeepsQueueOnDuplicate) {
-  ReassemblyConfig cfg;
+  FragmentPolicy cfg = linux_like_reassembly();
   cfg.overlap = OverlapPolicy::kIgnoreNew;
-  Reassembler r{cfg};
+  FragmentTable r{cfg};
   const auto frags = fragment(big_packet(80), 40);
-  EXPECT_FALSE(r.push(frags[0], now));
-  EXPECT_FALSE(r.push(frags[0], now));  // dup ignored
-  EXPECT_TRUE(r.push(frags[1], now));   // still completes
+  EXPECT_FALSE(r.push(frags[0], now).complete());
+  EXPECT_FALSE(r.push(frags[0], now).complete());  // dup ignored
+  EXPECT_TRUE(r.push(frags[1], now).complete());   // still completes
 }
 
 TEST_F(ReassemblerTest, DiscardQueueOnDuplicate) {
-  ReassemblyConfig cfg;
+  FragmentPolicy cfg = linux_like_reassembly();
   cfg.overlap = OverlapPolicy::kDiscardQueue;
-  Reassembler r{cfg};
+  FragmentTable r{cfg};
   const auto frags = fragment(big_packet(80), 40);
   r.push(frags[0], now);
   r.push(frags[0], now);  // poison
-  EXPECT_FALSE(r.push(frags[1], now));
+  EXPECT_FALSE(r.push(frags[1], now).complete());
   EXPECT_EQ(r.pending_queues(), 1u);  // frags[1] opened a fresh queue
 }
 
 TEST_F(ReassemblerTest, ExpiresStaleQueues) {
-  ReassemblyConfig cfg;
+  FragmentPolicy cfg = linux_like_reassembly();
   cfg.timeout = util::Duration::seconds(5);
-  Reassembler r{cfg};
+  FragmentTable r{cfg};
   const auto frags = fragment(big_packet(80), 40);
   r.push(frags[0], now);
   r.expire(now + util::Duration::seconds(6));
   EXPECT_EQ(r.pending_queues(), 0u);
   // The late last fragment alone can't complete the datagram.
-  EXPECT_FALSE(r.push(frags[1], now + util::Duration::seconds(6)));
+  EXPECT_FALSE(r.push(frags[1], now + util::Duration::seconds(6)).complete());
 }
 
 TEST_F(ReassemblerTest, DistinctQueuesByIpId) {
-  Reassembler r{ReassemblyConfig{}};
+  FragmentTable r{linux_like_reassembly()};
   const auto a = fragment(big_packet(80, 1), 40);
   const auto b = fragment(big_packet(80, 2), 40);
   r.push(a[0], now);
   r.push(b[0], now);
   EXPECT_EQ(r.pending_queues(), 2u);
-  EXPECT_TRUE(r.push(a[1], now));
-  EXPECT_TRUE(r.push(b[1], now));
+  EXPECT_TRUE(r.push(a[1], now).complete());
+  EXPECT_TRUE(r.push(b[1], now).complete());
+}
+
+// ------------------------------------------------------ FragmentTable
+
+TEST(FragmentTable, PushReportsEveryOutcome) {
+  const util::Instant now;
+  const auto frags = fragment(big_packet(120), 40);
+  FragmentTable host{linux_like_reassembly()};
+  EXPECT_EQ(host.push(frags[0], now).kind, FragmentPush::Kind::kBuffered);
+  EXPECT_EQ(host.push(frags[0], now).kind, FragmentPush::Kind::kIgnored);
+  EXPECT_EQ(host.buffered_bytes(), 40u);
+
+  FragmentTable tspu{tspu_fragment_policy()};
+  tspu.push(frags[0], now);
+  const FragmentPush poisoned = tspu.push(frags[0], now);
+  EXPECT_EQ(poisoned.kind, FragmentPush::Kind::kDiscarded);
+  EXPECT_EQ(poisoned.reason, DiscardReason::kOverlap);
+  EXPECT_EQ(tspu.pending_queues(), 0u);
+  EXPECT_EQ(tspu.buffered_bytes(), 0u);
+
+  // Completion hands back the fragments in arrival order.
+  tspu.push(frags[2], now);
+  tspu.push(frags[0], now);
+  const FragmentPush done = tspu.push(frags[1], now);
+  ASSERT_TRUE(done.complete());
+  ASSERT_EQ(done.fragments.size(), 3u);
+  EXPECT_EQ(done.fragments[0].ip.frag_offset, frags[2].ip.frag_offset);
+  EXPECT_EQ(done.fragments[1].ip.frag_offset, 0u);
+  EXPECT_EQ(tspu.buffered_bytes(), 0u);
+}
+
+TEST(FragmentTable, OverlongTailPoisonsUnderEveryPolicy) {
+  // Linux's ip_frag_queue drops a queue whose geometry no completion can
+  // satisfy; the ignore-new policy does so too, not just the TSPU's.
+  const util::Instant now;
+  auto frags = fragment(big_packet(120), 40);
+  FragmentTable r{linux_like_reassembly()};
+  r.push(frags[0], now);
+  r.push(frags[2], now);  // last: total length 120
+  Packet beyond = frags[1];
+  beyond.ip.frag_offset = 120;
+  const FragmentPush out = r.push(beyond, now);
+  EXPECT_EQ(out.kind, FragmentPush::Kind::kDiscarded);
+  EXPECT_EQ(out.reason, DiscardReason::kOverlong);
+  EXPECT_EQ(r.pending_queues(), 0u);
+}
+
+TEST(FragmentTable, StaleQueueExpiresBeforeItsKeyIsReused) {
+  // A datagram reusing the key of a timed-out, incomplete queue starts a
+  // fresh queue: its first fragment must not be checked against (and
+  // dropped as a duplicate of) the stale one.
+  const util::Instant t0;
+  const auto stale = fragment(big_packet(120, 7), 40);
+  const auto fresh = fragment(big_packet(120, 7), 40);
+  FragmentTable r{linux_like_reassembly()};
+  r.push(stale[0], t0);
+  const util::Instant later = t0 + util::Duration::seconds(31);
+  EXPECT_TRUE(r.expiry_due(later));
+  for (std::size_t i = 0; i + 1 < fresh.size(); ++i) {
+    EXPECT_EQ(r.push(fresh[i], later).kind, FragmentPush::Kind::kBuffered);
+  }
+  EXPECT_TRUE(r.push(fresh.back(), later).complete());
+}
+
+TEST(FragmentTable, LoadRefusesQueuesThePolicyCannotHold) {
+  const util::Instant now;
+  const auto frags = fragment(big_packet(160), 40);  // 4 fragments
+  FragmentTable wide{linux_like_reassembly()};
+  for (std::size_t i = 0; i + 1 < frags.size(); ++i) wide.push(frags[i], now);
+  util::StateWriter w;
+  wide.save_state(w);
+
+  FragmentPolicy narrow = linux_like_reassembly();
+  narrow.max_fragments = 2;
+  FragmentTable small{narrow};
+  util::StateReader r(w.data());
+  EXPECT_FALSE(small.load_state(r));
+  EXPECT_EQ(small.pending_queues(), 0u);
 }
 
 }  // namespace
